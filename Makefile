@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck vuln fmt fuzz-seeds fuzz-wire crash-test chaos-soak cluster-soak run-predictd bench bench-baseline bench-guard cover cover-html ci
+.PHONY: build test race vet bench-module staticcheck vuln fmt fuzz-seeds fuzz-wire crash-test chaos-soak cluster-soak run-predictd bench bench-baseline bench-guard cover cover-html ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (cmd/predictload) is a module of its own, so the root
+# build and vet skip it. Vet it and run its offline unit tests (-short skips
+# the end-to-end smoke run) so a break in an internal API it imports shows
+# up here rather than first in a benchmark run.
+bench-module:
+	cd cmd/predictload && $(GO) vet ./... && $(GO) test -short .
 
 # gofmt check: fails listing any file that is not gofmt-clean.
 fmt:
@@ -137,4 +144,4 @@ cover:
 cover-html: cover
 	$(GO) tool cover -html=coverage.out -o coverage.html
 
-ci: fmt vet staticcheck vuln build fuzz-seeds race crash-test cover
+ci: fmt vet bench-module staticcheck vuln build fuzz-seeds race crash-test cover

@@ -210,8 +210,8 @@ func BenchmarkAblationPool(b *testing.B) {
 		name string
 		pool *predictors.Pool
 	}{
-		{"paper3", predictors.PaperPool(5)},
-		{"extended8", predictors.ExtendedPool(5)},
+		{"paper3", buildPool(b, 5, larpredictor.TierPaper)},
+		{"extended8", buildPool(b, 5, larpredictor.TierExtended)},
 	}
 	for _, p := range pools {
 		b.Run(p.name, func(b *testing.B) {
@@ -319,10 +319,11 @@ func BenchmarkSelectionOverhead(b *testing.B) {
 	vals := benchTrace(b)
 	half := len(vals) / 2
 	for _, poolSize := range []string{"paper3", "extended8"} {
-		pool := predictors.PaperPool(5)
+		tier := larpredictor.TierPaper
 		if poolSize == "extended8" {
-			pool = predictors.ExtendedPool(5)
+			tier = larpredictor.TierExtended
 		}
+		pool := buildPool(b, 5, tier)
 		cfg := core.DefaultConfig(5)
 		cfg.Pool = pool
 		lar, err := core.New(cfg)

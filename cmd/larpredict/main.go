@@ -67,7 +67,9 @@ func run(out io.Writer, path string, window, k, pcaDim int, split float64, exten
 		cfg.PCAComponents = pcaDim
 	}
 	if extended {
-		cfg.Pool = larpredictor.ExtendedPool(window)
+		if cfg.Pool, err = larpredictor.BuildPool(window, larpredictor.TierExtended); err != nil {
+			return err
+		}
 	}
 	p, err := larpredictor.New(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -41,46 +42,75 @@ func loadStatePreddb(t *testing.T, dir string) *preddb.DB {
 	return db
 }
 
-// TestCrashRecoveryResumesExactly is the tentpole acceptance test: kill the
-// daemon mid-run (between snapshots, so the WAL matters), restart it
-// against the same state directory, and require that it resumes as
-// "recovered" — no retraining — with results identical to a run that never
-// crashed.
+// TestCrashRecoveryResumesExactly kills the daemon mid-run, restarts it
+// against the same state directory, and requires results identical to a run
+// that never crashed. Recovery keeps no log of rows between snapshots: it
+// resumes the deterministic simulation at the last snapshot's clock, so the
+// table crashes before the first snapshot, right on one, and between them,
+// with and without faults (chaosSpec touches VM3 only), and every case must
+// reproduce the uncrashed prediction database record for record.
 func TestCrashRecoveryResumesExactly(t *testing.T) {
-	crashDir := t.TempDir()
-
-	// Run 1: crash after 6 simulated hours. The last snapshot landed at
-	// hour 4, so hours 5-6 exist only in the WALs.
-	o := durableOptions(crashDir)
-	o.crashAfterHours = 6
-	if _, err := run(io.Discard, o); !errors.Is(err, errSimulatedCrash) {
-		t.Fatalf("crash run returned %v, want errSimulatedCrash", err)
+	specs := []struct {
+		name, faults string
+	}{
+		{"no-faults", ""},
+		{"chaos", chaosSpec},
 	}
-
-	// Run 2: restart against the same state dir and finish the 12 hours.
-	o.crashAfterHours = 0
-	resumed, err := run(io.Discard, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := 0
-	for _, p := range resumed.Pipes {
-		if p.Recovery != recoveryRecovered {
-			t.Errorf("%s: recovery %q, want %q", p.Key, p.Recovery, recoveryRecovered)
+	for _, spec := range specs {
+		opts := func(dir string) options {
+			o := durableOptions(dir)
+			o.vms = []vmtrace.VMID{vmtrace.VM2, vmtrace.VM3}
+			o.faultSpec = spec.faults
+			o.faultSeed = 99
+			return o
 		}
-		replayed += p.WALReplayed
-	}
-	if replayed == 0 {
-		t.Error("no WAL records replayed despite crashing between snapshots")
-	}
+		// Reference: the same options, never crashed, fresh state dir.
+		cleanDir := t.TempDir()
+		clean, err := run(io.Discard, opts(cleanDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, crashHour := range []int{1, 4, 6, 11} {
+			t.Run(fmt.Sprintf("%s/crash-hour-%d", spec.name, crashHour), func(t *testing.T) {
+				crashDir := t.TempDir()
+				o := opts(crashDir)
+				o.crashAfterHours = crashHour
+				if _, err := run(io.Discard, o); !errors.Is(err, errSimulatedCrash) {
+					t.Fatalf("crash run returned %v, want errSimulatedCrash", err)
+				}
 
-	// Reference: the same options, never crashed, fresh state dir.
-	cleanDir := t.TempDir()
-	clean, err := run(io.Discard, durableOptions(cleanDir))
-	if err != nil {
-		t.Fatal(err)
+				// Restart against the same state dir and finish the run.
+				o.crashAfterHours = 0
+				resumed, err := run(io.Discard, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A crash before the first snapshot leaves nothing to
+				// restore: every pipeline starts cold and re-simulates from
+				// the beginning.
+				wantRecovery := recoveryRecovered
+				if time.Duration(crashHour)*time.Hour < o.snapEvery {
+					wantRecovery = recoveryCold
+				}
+				for _, p := range resumed.Pipes {
+					if p.Recovery != wantRecovery {
+						t.Errorf("%s: recovery %q, want %q", p.Key, p.Recovery, wantRecovery)
+					}
+				}
+				if _, err := os.Stat(filepath.Join(crashDir, "wal")); !os.IsNotExist(err) {
+					t.Errorf("state dir has a wal/ entry (stat err %v); recovery must need only snapshots", err)
+				}
+				assertSameRun(t, resumed, clean, crashDir, cleanDir)
+			})
+		}
 	}
+}
 
+// assertSameRun requires a resumed run to match an uncrashed one: the same
+// summary counts per pipeline and record-for-record identical prediction
+// databases in their state directories.
+func assertSameRun(t *testing.T, resumed, clean *runSummary, crashDir, cleanDir string) {
+	t.Helper()
 	if resumed.Samples != clean.Samples {
 		t.Errorf("samples %d != %d", resumed.Samples, clean.Samples)
 	}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"github.com/acis-lab/larpredictor/internal/core"
-	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/faults"
 	"github.com/acis-lab/larpredictor/internal/monitor"
@@ -67,7 +66,7 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault-injection spec, e.g. 'spike:p=0.02,mag=40,on=VM3/*;dropout:p=0.05' (see internal/faults)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		cooldown  = flag.Duration("cooldown", 2*time.Hour, "simulated quarantine before restarting a panicked or Failed pipeline")
-		stateDir  = flag.String("state", "", "state directory for durable snapshots and WALs; empty runs stateless")
+		stateDir  = flag.String("state", "", "state directory for durable snapshots (a restart re-simulates from the last one); empty runs stateless")
 		snapEvery = flag.Duration("snapshot-every", 6*time.Hour, "simulated interval between durable snapshots")
 		shards    = flag.Int("shards", 0, "prediction-engine shards (0 = one per CPU)")
 		backpress = flag.String("backpressure", "block", "engine ingest policy when a shard queue fills: block, drop-oldest, or reject")
@@ -162,14 +161,9 @@ type pipeline struct {
 	hasPending  bool
 	predictions int
 
-	// Durability state: the observation WAL (nil when stateless), how many
-	// WAL records the warm restart replayed, the records awaiting replay
-	// through the engine, and the recovery outcome ("recovered", "cold",
+	// recovery is the warm-restart outcome ("recovered", "cold",
 	// "quarantined"; empty when stateless).
-	wal         *durable.WAL
-	walReplayed int
-	replay      []durable.Record
-	recovery    string
+	recovery string
 
 	// Supervision state (accessed only by the supervisor loop).
 	// enginePanics mirrors the engine's cumulative panic count for this
@@ -199,7 +193,6 @@ type PipeStatus struct {
 	Quarantined       bool    `json:"quarantined,omitempty"`
 	LastFault         string  `json:"last_fault,omitempty"`
 	Recovery          string  `json:"recovery,omitempty"`
-	WALReplayed       int     `json:"wal_replayed,omitempty"`
 	ScoredMSE         float64 `json:"scored_mse,omitempty"`
 	Scored            int     `json:"scored,omitempty"`
 	// Spark is a unicode strip of recent observations for the text report
@@ -356,9 +349,12 @@ func run(out io.Writer, o options) (*runSummary, error) {
 
 	step := cfg.ConsolidationInterval
 
-	// Warm restart: restore databases and predictor state from the state
-	// directory, replay WALs, and resume the simulation where the previous
-	// process died. Corrupt files are quarantined, not fatal.
+	// Warm restart: restore databases and predictor state from the last
+	// snapshot in the state directory and resume the simulation at its
+	// clock. The simulator is deterministic under the fingerprinted options,
+	// so re-simulating from there regenerates exactly the rows the previous
+	// process saw after the snapshot. Corrupt files are quarantined, not
+	// fatal.
 	var st *stateStore
 	if o.stateDir != "" {
 		if o.snapEvery <= 0 {
@@ -372,7 +368,6 @@ func run(out io.Writer, o options) (*runSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer closeWALs(pipes)
 	}
 
 	qa, err := preddb.NewAssuror(db, o.auditWin, o.threshold, nil)
@@ -396,8 +391,9 @@ func run(out io.Writer, o options) (*runSummary, error) {
 		OnResult: func(r engine.Result) {
 			// The per-row feed path, run on the owning shard's worker: the
 			// observation into the prediction DB, then any new forecast back
-			// into the DB. Live rows and WAL replay share it, so recovery
-			// reproduces exactly what the crashed run did.
+			// into the DB. Re-simulated rows after a warm restart take the
+			// same path, so recovery reproduces exactly what the crashed run
+			// did.
 			p := byKey[r.ID]
 			ts := time.Unix(r.TS, 0).UTC()
 			db.PutObservation(p.key, ts, r.Value)
@@ -430,18 +426,6 @@ func run(out io.Writer, o options) (*runSummary, error) {
 			return nil, err
 		}
 	}
-
-	// Warm restart, phase 2: replay the WAL records the snapshot missed
-	// through the same engine path live rows take.
-	for _, p := range pipes {
-		for _, rec := range p.replay {
-			if err := eng.IngestSample(engine.Sample{ID: p.id, TS: rec.TS, Value: rec.Value}); err != nil {
-				return nil, fmt.Errorf("replay %s: %w", p.id, err)
-			}
-		}
-		p.replay = nil
-	}
-	eng.Drain()
 
 	hours := int(o.duration / time.Hour)
 	hoursDone := int(agent.Now().Sub(cfg.Start) / time.Hour)
@@ -598,10 +582,9 @@ func runHook(hook func(*pipeline, int), p *pipeline, hour int) (fault string) {
 }
 
 // enqueueSlice queries one pipeline's consolidated rows that landed since
-// its last slice and enqueues them onto the engine, logging each row to the
-// WAL before it is applied so a crash replays it through the very same
-// path. The pipeline's feed bookkeeping runs in the engine's OnResult; the
-// caller must Drain before reading it back.
+// its last slice and enqueues them onto the engine. The pipeline's feed
+// bookkeeping runs in the engine's OnResult; the caller must Drain before
+// reading it back.
 func enqueueSlice(eng *engine.Engine, p *pipeline, agent *monitor.Agent, now time.Time) error {
 	// Snapshot lastSeen before the first enqueue: the shard worker advances
 	// it as rows process, and rows arrive in time order anyway.
@@ -618,16 +601,9 @@ func enqueueSlice(eng *engine.Engine, p *pipeline, agent *monitor.Agent, now tim
 		if !ts.After(since) {
 			continue
 		}
-		v := s.At(i)
-		if p.wal != nil {
-			_ = p.wal.Append(durable.Record{TS: ts.Unix(), Value: v})
-		}
-		if err := eng.IngestSample(engine.Sample{ID: p.id, TS: ts.Unix(), Value: v}); err != nil {
+		if err := eng.IngestSample(engine.Sample{ID: p.id, TS: ts.Unix(), Value: s.At(i)}); err != nil {
 			return fmt.Errorf("ingest %s: %w", p.id, err)
 		}
-	}
-	if p.wal != nil {
-		_ = p.wal.Sync()
 	}
 	return nil
 }
@@ -654,7 +630,6 @@ func pipeStatuses(pipes []*pipeline, db *preddb.DB, now time.Time) []PipeStatus 
 			Quarantined:       !p.quarantineUntil.IsZero() && now.Before(p.quarantineUntil),
 			LastFault:         p.lastFault,
 			Recovery:          p.recovery,
-			WALReplayed:       p.walReplayed,
 		}
 		if mse, n, err := db.AuditMSE(p.key, 1<<30); err == nil && n > 0 {
 			st.ScoredMSE, st.Scored = mse, n
@@ -681,7 +656,7 @@ func report(out io.Writer, o options, s *runSummary) {
 	if degraded > 0 {
 		fmt.Fprintf(out, "  pipelines with incidents: %d\n", degraded)
 	}
-	var recovered, quarantined, replayed int
+	var recovered, quarantined int
 	for _, p := range s.Pipes {
 		switch p.Recovery {
 		case recoveryRecovered:
@@ -689,11 +664,9 @@ func report(out io.Writer, o options, s *runSummary) {
 		case recoveryQuarantined:
 			quarantined++
 		}
-		replayed += p.WALReplayed
 	}
 	if recovered > 0 || quarantined > 0 {
-		fmt.Fprintf(out, "  warm restart: %d recovered, %d quarantined, %d WAL records replayed\n",
-			recovered, quarantined, replayed)
+		fmt.Fprintf(out, "  warm restart: %d recovered, %d quarantined\n", recovered, quarantined)
 	}
 	// Troubled pipelines must never scroll out of view: list them ahead of
 	// the healthy ones before applying the line cap.

@@ -105,10 +105,10 @@ func TestMetricsEndpointServesPromText(t *testing.T) {
 		`le="+Inf"`,
 		// Per-stage tracer families.
 		"# TYPE larpredictor_stage_seconds histogram",
-		// Durability: snapshots committed during this run, WAL replay
+		// Durability: snapshots committed during this run, recovery
 		// registered (zero here — no crash preceded this run).
 		"# TYPE larpredictor_snapshots_total counter",
-		"# TYPE larpredictor_wal_replayed_records_total counter",
+		"# TYPE larpredictor_pipelines_recovered_total counter",
 		// Agent and prediction-DB families.
 		"larpredictor_monitor_samples_total",
 		"larpredictor_preddb_predictions_total",

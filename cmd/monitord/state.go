@@ -25,13 +25,12 @@ import (
 //	<dir>/rrd/<vm>.rrd         per-VM round-robin database snapshot
 //	<dir>/preddb.db            prediction database snapshot
 //	<dir>/pipe/<vm>__<metric>.lar   per-pipeline predictor + bookkeeping
-//	<dir>/wal/<vm>__<metric>.wal    per-pipeline observation WAL
 //
 // Every snapshot file is written atomically (temp + fsync + rename) and
 // carries its own checksum; the manifest is written last so its clock only
-// ever describes fully-committed state. WALs are reset after the manifest
-// commits — a crash in between merely leaves records at or before the
-// restored clock, which replay skips.
+// ever describes fully-committed state. Nothing between snapshots is
+// logged: recovery resumes the deterministic simulation at the manifest
+// clock, which regenerates every row the crashed process saw after it.
 
 const (
 	pipeMagic    = "LARPIPE1"
@@ -78,8 +77,6 @@ type stateStore struct {
 
 	// Durability instruments; all nil-safe when no registry was attached.
 	snapshots      *obs.Counter
-	walReplayed    *obs.Counter
-	walTruncBytes  *obs.Counter
 	quarantines    *obs.Counter
 	pipesRecovered *obs.Counter
 }
@@ -101,7 +98,7 @@ func fingerprintOptions(o options) string {
 // openState creates the state directory tree if needed and binds the
 // durability counters on reg (nil leaves the store uninstrumented).
 func openState(dir, fingerprint string, reg *obs.Registry) (*stateStore, error) {
-	for _, sub := range []string{"", "rrd", "pipe", "wal"} {
+	for _, sub := range []string{"", "rrd", "pipe"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("state dir: %w", err)
 		}
@@ -110,10 +107,6 @@ func openState(dir, fingerprint string, reg *obs.Registry) (*stateStore, error) 
 	if reg != nil {
 		st.snapshots = reg.Counter1("larpredictor_snapshots_total",
 			"Completed durable snapshots (all RRDs, prediction DB, pipelines, manifest).")
-		st.walReplayed = reg.Counter1("larpredictor_wal_replayed_records_total",
-			"Observation-WAL records replayed during warm restart.")
-		st.walTruncBytes = reg.Counter1("larpredictor_wal_truncated_bytes_total",
-			"Bytes of torn WAL tail dropped during warm restart.")
 		st.quarantines = reg.Counter1("larpredictor_state_quarantines_total",
 			"Damaged state files quarantined during warm restart.")
 		st.pipesRecovered = reg.Counter1("larpredictor_pipelines_recovered_total",
@@ -137,13 +130,9 @@ func (st *stateStore) pipePath(p *pipeline) string {
 	return filepath.Join(st.dir, "pipe", pipeFile(p)+".lar")
 }
 
-func (st *stateStore) walPath(p *pipeline) string {
-	return filepath.Join(st.dir, "wal", pipeFile(p)+".wal")
-}
-
 // snapshot persists the whole daemon: every VM's RRD, the prediction DB,
-// every pipeline's predictor state, then the manifest, then WAL resets.
-// Called from the supervisor loop only, after all slice goroutines joined.
+// every pipeline's predictor state, then the manifest. Called from the
+// supervisor loop only, after all slice goroutines joined.
 func (st *stateStore) snapshot(agent *monitor.Agent, db *preddb.DB, pipes []*pipeline, o options) error {
 	for _, vm := range o.vms {
 		vm := vm
@@ -193,25 +182,18 @@ func (st *stateStore) snapshot(agent *monitor.Agent, db *preddb.DB, pipes []*pip
 	if err != nil {
 		return fmt.Errorf("snapshot manifest: %w", err)
 	}
-	// Only after the manifest commits is the logged span durable elsewhere.
-	for _, p := range pipes {
-		if p.wal != nil {
-			if err := p.wal.Reset(); err != nil {
-				return fmt.Errorf("reset wal %s: %w", pipeFile(p), err)
-			}
-		}
-	}
 	st.snapshots.Inc()
 	return nil
 }
 
 // recover performs the warm restart: it verifies the manifest, restores
 // RRDs and the prediction DB (quarantining anything damaged), restores each
-// pipeline's predictor state or cold-starts it, and stages the WAL records
-// the snapshot missed on pipeline.replay — the caller pushes them through
-// the engine so replay takes the very same path live rows do. It returns
-// the prediction DB the run should continue with. logw receives one line
-// per abnormal event.
+// pipeline's predictor state or cold-starts it, and sets the agent's clock
+// to the manifest's so the caller re-simulates everything after the
+// snapshot through the very same path live rows take. A cold pipeline warms
+// up from the RRD's retained rows, exactly like a fresh one. It returns the
+// prediction DB the run should continue with. logw receives one line per
+// abnormal event.
 func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipeline, o options, logw io.Writer) (*preddb.DB, error) {
 	for _, p := range pipes {
 		p.recovery = recoveryCold
@@ -297,48 +279,10 @@ func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipe
 			p.hasPending = ps.HasPending
 			p.predictions = ps.Predictions
 			p.recovery = recoveryRecovered
-		}
-
-		// Open (or create) the WAL regardless of how the snapshot fared and
-		// stage the records the snapshot missed for replay. Replay feeds
-		// cold pipelines too: whatever survived the crash still warms them.
-		wal, recs, truncated, werr := durable.OpenWAL(st.walPath(p))
-		if werr != nil {
-			st.quarantineAndLog(st.walPath(p), werr, logw)
-			wal, recs, truncated, werr = durable.OpenWAL(st.walPath(p))
-			if werr != nil {
-				return nil, fmt.Errorf("reopen wal %s: %w", pipeFile(p), werr)
-			}
-		}
-		if truncated > 0 {
-			fmt.Fprintf(logw, "monitord: %s: dropped %d bytes of torn WAL tail\n", pipeFile(p), truncated)
-			st.walTruncBytes.Add(uint64(truncated))
-		}
-		p.wal = wal
-		p.replay = p.replay[:0]
-		for _, rec := range recs {
-			if ts := time.Unix(rec.TS, 0).UTC(); !ts.After(p.lastSeen) {
-				continue
-			}
-			p.replay = append(p.replay, rec)
-		}
-		p.walReplayed = len(p.replay)
-		st.walReplayed.Add(uint64(len(p.replay)))
-		if p.recovery == recoveryRecovered {
 			st.pipesRecovered.Inc()
 		}
 	}
 	return db, nil
-}
-
-// closeWALs releases every pipeline's WAL handle at the end of a run.
-func closeWALs(pipes []*pipeline) {
-	for _, p := range pipes {
-		if p.wal != nil {
-			p.wal.Close()
-			p.wal = nil
-		}
-	}
 }
 
 // quarantineAndLog moves a damaged state file aside and counts it.

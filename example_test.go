@@ -36,7 +36,11 @@ func Example() {
 
 // ExampleNewPool shows how class labels follow pool order.
 func ExampleNewPool() {
-	pool := larpredictor.PaperPool(5)
+	pool, err := larpredictor.BuildPool(5, larpredictor.TierPaper)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	for i, name := range pool.Names() {
 		fmt.Printf("%d - %s\n", i+1, name)
 	}

@@ -46,12 +46,17 @@ func main() {
 	})
 
 	const window = 5
+	paper, err := larpredictor.BuildPool(window, larpredictor.TierPaper)
+	if err != nil {
+		log.Fatal(err)
+	}
+	damped, err := larpredictor.BuildPool(window, larpredictor.TierPaper, DampedTrend{Damping: 0.6})
+	if err != nil {
+		log.Fatal(err)
+	}
 	pools := map[string]*larpredictor.Pool{
-		"paper pool (3 experts)": larpredictor.PaperPool(window),
-		"paper pool + DampedTrend": larpredictor.NewPool(append(
-			larpredictor.PaperPool(window).Predictors(),
-			DampedTrend{Damping: 0.6},
-		)...),
+		"paper pool (3 experts)":   paper,
+		"paper pool + DampedTrend": damped,
 	}
 
 	traces := larpredictor.StandardTraceSet(17)

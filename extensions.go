@@ -3,7 +3,6 @@ package larpredictor
 import (
 	"github.com/acis-lab/larpredictor/internal/knn"
 	"github.com/acis-lab/larpredictor/internal/multiresource"
-	"github.com/acis-lab/larpredictor/internal/predictors"
 	"github.com/acis-lab/larpredictor/internal/timeseries"
 )
 
@@ -22,15 +21,6 @@ const (
 	// distribution.
 	ProbabilityVote = knn.ProbabilityVote
 )
-
-// FullPool returns the ten-expert pool: the extended pool plus the MA and
-// ARIMA models from Dinda's host-load study, completing the paper's §8
-// future-work roster. Requires windowSize >= 3.
-//
-// Deprecated: Use BuildPool(windowSize, TierFull).
-func FullPool(windowSize int) *Pool {
-	return predictors.FullPool(windowSize)
-}
 
 // MultiResourceModel predicts one resource using both its own history and a
 // correlated auxiliary resource (e.g. CPU from CPU + free memory), the

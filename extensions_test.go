@@ -9,7 +9,7 @@ import (
 )
 
 func TestFacadeFullPool(t *testing.T) {
-	pool := larpredictor.FullPool(6)
+	pool := buildPool(t, 6, larpredictor.TierFull)
 	if pool.Size() != 10 {
 		t.Fatalf("full pool size = %d, want 10", pool.Size())
 	}

@@ -139,7 +139,10 @@ func New(cfg Config, opts ...Option) (*LARPredictor, error) {
 	}
 	pool := cfg.Pool
 	if pool == nil {
-		pool = predictors.PaperPool(cfg.WindowSize)
+		var err error
+		if pool, err = predictors.BuildPool(cfg.WindowSize, predictors.TierPaper); err != nil {
+			return nil, err
+		}
 	}
 	if pool.Size() == 0 {
 		return nil, fmt.Errorf("core: empty predictor pool: %w", ErrBadConfig)

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -8,11 +9,17 @@ import (
 
 // BatchWAL file format: an 8-byte magic header followed by variable-length
 // records. Each record is [uint32 length][payload][crc32 of length+payload],
-// little-endian. Compared to the fixed-record WAL, the payload is opaque —
-// predictd logs one encoded ingest batch per record — while recovery keeps
-// the same contract: replay trusts exactly the prefix of records whose
-// checksums verify, and the torn or corrupt tail is truncated away.
+// little-endian. The payload is opaque — predictd logs one encoded ingest
+// batch per record. The per-record checksum lets recovery tell a torn tail
+// (crash mid-append) or a flipped bit from valid data: replay trusts exactly
+// the prefix of records whose checksums verify, and the torn or corrupt tail
+// is truncated away.
 var batchWALMagic = [8]byte{'L', 'A', 'R', 'P', 'B', 'W', 'L', '1'}
+
+// ErrWALFormat is returned by OpenBatchWAL when the file exists but does not
+// start with the batch-WAL magic — it is some other file, or its header
+// itself was corrupted. Callers should quarantine it and start a fresh log.
+var ErrWALFormat = errors.New("durable: unrecognized WAL format")
 
 // maxBatchRecord caps a single record's payload. A length field larger than
 // this is treated as corruption rather than an allocation request.

@@ -85,7 +85,12 @@ func TestBatchWALTornTailTruncated(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, _ = openBatch(t, path)
+	// The truncation is persistent: the reopen sees a clean log.
+	w3, recs, truncated := openBatch(t, path)
+	defer w3.Close()
+	if truncated != 0 {
+		t.Errorf("reopen after truncation dropped %d more bytes", truncated)
+	}
 	if len(recs) != 3 || string(recs[2]) != "after" {
 		t.Fatalf("post-truncation append lost: %d records, tail %q", len(recs), recs[len(recs)-1])
 	}
@@ -130,6 +135,13 @@ func TestBatchWALWrongMagicRejected(t *testing.T) {
 	_, _, _, err := OpenBatchWAL(path)
 	if !errors.Is(err, ErrWALFormat) {
 		t.Fatalf("foreign file: err = %v, want ErrWALFormat", err)
+	}
+	// A header truncated mid-magic is equally unrecognizable.
+	if err := os.WriteFile(path, batchWALMagic[:4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenBatchWAL(path); !errors.Is(err, ErrWALFormat) {
+		t.Fatalf("short header: err = %v, want ErrWALFormat", err)
 	}
 }
 

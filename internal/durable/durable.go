@@ -1,13 +1,13 @@
-// Package durable provides the crash-safety primitives the monitoring
-// daemon's state directory is built from: atomic snapshot files
-// (write-to-temp, fsync, rename) and a per-pipeline write-ahead log of
-// observations with per-record checksums and torn-tail recovery.
+// Package durable provides the crash-safety primitives the daemons' state
+// directories are built from: atomic snapshot files (write-to-temp, fsync,
+// rename), checksummed frames, and a write-ahead log of opaque batch records
+// with per-record checksums and torn-tail recovery.
 //
-// The package deliberately knows nothing about what is inside a snapshot —
-// the rrd, preddb, and core packages each own a versioned, checksummed codec
-// — it only guarantees that a snapshot file is either the complete old
-// version or the complete new version, never a torn mixture, and that WAL
-// records survive up to the last fsync.
+// The package deliberately knows nothing about what is inside a snapshot or
+// a log record — the rrd, preddb, core, and server packages each own a
+// versioned, checksummed codec — it only guarantees that a snapshot file is
+// either the complete old version or the complete new version, never a torn
+// mixture, and that WAL records survive up to the last fsync.
 package durable
 
 import (

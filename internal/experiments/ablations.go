@@ -104,16 +104,21 @@ func Ablations(opts Options) ([]*AblationResult, error) {
 	// Pool composition.
 	poolSweep := &AblationResult{Dimension: "expert pool (paper: 3 experts)", Trace: s.Name}
 	pools := []struct {
-		name string
-		pool *predictors.Pool
+		name   string
+		window int
+		tier   predictors.PoolTier
 	}{
-		{"paper3 {LAST,AR,SW_AVG}", predictors.PaperPool(5)},
-		{"extended8", predictors.ExtendedPool(5)},
-		{"full10 (+MA,ARIMA)", predictors.FullPool(6)},
+		{"paper3 {LAST,AR,SW_AVG}", 5, predictors.TierPaper},
+		{"extended8", 5, predictors.TierExtended},
+		{"full10 (+MA,ARIMA)", 6, predictors.TierFull},
 	}
 	for _, p := range pools {
-		cfg := core.DefaultConfig(p.pool.MaxOrder())
-		cfg.Pool = p.pool
+		pool, err := predictors.BuildPool(p.window, p.tier)
+		if err != nil {
+			return nil, err
+		}
+		cfg := core.DefaultConfig(pool.MaxOrder())
+		cfg.Pool = pool
 		row, err := evalCfg(p.name, cfg)
 		if err != nil {
 			return nil, err

@@ -5,32 +5,10 @@ import (
 	"os"
 )
 
-// Disk fault injectors for durability testing: deliberate corruption of
-// snapshot and write-ahead-log files so recovery paths (checksum
-// verification, torn-tail truncation, quarantine) can be exercised without
-// an actual power cut. They complement the stream injectors above, which
-// corrupt data in flight; these corrupt data at rest.
-
-// TruncateTail removes the last n bytes of the file, simulating a snapshot
-// or log cut short by a crash mid-write. Truncating more bytes than the file
-// holds leaves an empty file.
-func TruncateTail(path string, n int64) error {
-	if n < 0 {
-		return fmt.Errorf("faults: negative truncation %d", n)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("faults: truncate tail: %w", err)
-	}
-	size := info.Size() - n
-	if size < 0 {
-		size = 0
-	}
-	if err := os.Truncate(path, size); err != nil {
-		return fmt.Errorf("faults: truncate tail: %w", err)
-	}
-	return nil
-}
+// Disk fault injector for durability testing: deliberate corruption of a
+// snapshot file so recovery paths (checksum verification, quarantine) can be
+// exercised without real media damage. It complements the stream injectors
+// above, which corrupt data in flight; this corrupts data at rest.
 
 // FlipBit inverts one bit of the file, simulating silent media corruption.
 // offset is the byte position; a negative offset counts back from the end of
@@ -62,24 +40,6 @@ func FlipBit(path string, offset int64, bit uint) error {
 	b[0] ^= 1 << bit
 	if _, err := f.WriteAt(b[:], offset); err != nil {
 		return fmt.Errorf("faults: flip bit: %w", err)
-	}
-	return f.Sync()
-}
-
-// TornWrite appends only the first keep bytes of record to the file,
-// simulating a crash in the middle of an append: the tail of the file holds
-// a partial record that a recovering reader must detect and discard.
-func TornWrite(path string, record []byte, keep int) error {
-	if keep < 0 || keep > len(record) {
-		return fmt.Errorf("faults: torn write keeps %d of %d bytes", keep, len(record))
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("faults: torn write: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(record[:keep]); err != nil {
-		return fmt.Errorf("faults: torn write: %w", err)
 	}
 	return f.Sync()
 }

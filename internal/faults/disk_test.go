@@ -16,33 +16,6 @@ func diskFile(t *testing.T, content []byte) string {
 	return path
 }
 
-func TestTruncateTail(t *testing.T) {
-	path := diskFile(t, []byte("0123456789"))
-	if err := TruncateTail(path, 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "012345" {
-		t.Fatalf("after truncation: %q", got)
-	}
-	// Over-truncation empties the file instead of failing.
-	if err := TruncateTail(path, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ = os.ReadFile(path); len(got) != 0 {
-		t.Fatalf("expected empty file, got %q", got)
-	}
-	if err := TruncateTail(path, -1); err == nil {
-		t.Fatal("negative truncation accepted")
-	}
-	if err := TruncateTail(filepath.Join(t.TempDir(), "missing"), 1); err == nil {
-		t.Fatal("truncating a missing file succeeded")
-	}
-}
-
 func TestFlipBit(t *testing.T) {
 	path := diskFile(t, []byte{0x00, 0xFF, 0x0F})
 	if err := FlipBit(path, 0, 0); err != nil {
@@ -74,25 +47,5 @@ func TestFlipBit(t *testing.T) {
 	}
 	if err := FlipBit(path, 0, 8); err == nil {
 		t.Fatal("bit index 8 accepted")
-	}
-}
-
-func TestTornWrite(t *testing.T) {
-	path := diskFile(t, []byte("head"))
-	if err := TornWrite(path, []byte("record"), 3); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "headrec" {
-		t.Fatalf("after torn write: %q", got)
-	}
-	if err := TornWrite(path, []byte("x"), 2); err == nil {
-		t.Fatal("keep > len accepted")
-	}
-	if err := TornWrite(path, []byte("x"), -1); err == nil {
-		t.Fatal("negative keep accepted")
 	}
 }

@@ -13,9 +13,19 @@ import (
 	"github.com/acis-lab/larpredictor/internal/vmtrace"
 )
 
+// paperPool builds the paper's three-expert pool for window m.
+func paperPool(t *testing.T, m int) *predictors.Pool {
+	t.Helper()
+	pool, err := predictors.BuildPool(m, predictors.TierPaper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 func fittedPool(t *testing.T, m int, train []float64) *predictors.Pool {
 	t.Helper()
-	pool := predictors.PaperPool(m)
+	pool := paperPool(t, m)
 	if err := pool.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +39,7 @@ func TestNewSelectorValidation(t *testing.T) {
 	if _, err := NewCumulativeMSE(predictors.NewPool()); !errors.Is(err, ErrNoPool) {
 		t.Error("accepted empty pool")
 	}
-	pool := predictors.PaperPool(3)
+	pool := paperPool(t, 3)
 	if _, err := NewWindowedMSE(pool, 0); err == nil {
 		t.Error("accepted window 0")
 	}

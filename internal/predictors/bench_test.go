@@ -41,9 +41,9 @@ func BenchmarkPoolPredictAll(b *testing.B) {
 		name string
 		pool *Pool
 	}{
-		{"paper3", PaperPool(5)},
-		{"extended8", ExtendedPool(5)},
-		{"full10", FullPool(5)},
+		{"paper3", buildPool(b, 5, TierPaper)},
+		{"extended8", buildPool(b, 5, TierExtended)},
+		{"full10", buildPool(b, 5, TierFull)},
 	} {
 		if err := tc.pool.Fit(train); err != nil {
 			b.Fatal(err)
@@ -64,7 +64,7 @@ func BenchmarkPoolPredictAll(b *testing.B) {
 
 func BenchmarkLabelParallel(b *testing.B) {
 	train := benchSeries(288)
-	pool := PaperPool(5)
+	pool := buildPool(b, 5, TierPaper)
 	if err := pool.Fit(train); err != nil {
 		b.Fatal(err)
 	}

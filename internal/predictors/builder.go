@@ -42,8 +42,7 @@ func (t PoolTier) String() string {
 
 // BuildPool is the single constructor behind the canonical pools: it builds
 // the tier's roster for windowSize and appends any extra experts (their
-// class labels follow the tier's, in argument order). It subsumes
-// PaperPool, ExtendedPool, and FullPool, which remain as thin wrappers.
+// class labels follow the tier's, in argument order).
 func BuildPool(windowSize int, tier PoolTier, extra ...Predictor) (*Pool, error) {
 	switch tier {
 	case TierPaper:

@@ -112,42 +112,6 @@ func NewPool(preds ...Predictor) *Pool {
 	return &Pool{preds: p}
 }
 
-// PaperPool returns the three-predictor pool used in the paper's
-// experiments: LAST, AR(p = windowSize), SW_AVG(windowSize).
-//
-// Deprecated: Use BuildPool(windowSize, TierPaper).
-func PaperPool(windowSize int) *Pool {
-	return mustBuild(windowSize, TierPaper)
-}
-
-// ExtendedPool returns the eight-predictor pool used by the pool-size
-// ablation: the paper pool plus the related-work models.
-//
-// Deprecated: Use BuildPool(windowSize, TierExtended).
-func ExtendedPool(windowSize int) *Pool {
-	return mustBuild(windowSize, TierExtended)
-}
-
-// FullPool returns the ten-predictor pool: the extended pool plus the MA and
-// ARIMA models from Dinda's host-load study (paper §2), completing the §8
-// future-work roster. Window sizes below 3 panic, as the inner constructors
-// always did.
-//
-// Deprecated: Use BuildPool(windowSize, TierFull), which returns an error
-// instead of panicking.
-func FullPool(windowSize int) *Pool {
-	return mustBuild(windowSize, TierFull)
-}
-
-// mustBuild adapts BuildPool to the legacy panic-on-misuse constructors.
-func mustBuild(windowSize int, tier PoolTier) *Pool {
-	p, err := BuildPool(windowSize, tier)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Size returns the number of predictors in the pool.
 func (p *Pool) Size() int { return len(p.preds) }
 

@@ -10,6 +10,16 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// buildPool builds a canonical pool, failing the test or benchmark on error.
+func buildPool(tb testing.TB, windowSize int, tier PoolTier) *Pool {
+	tb.Helper()
+	pool, err := BuildPool(windowSize, tier)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pool
+}
+
 // fitted returns a predictor of the given name fitted on train, failing the
 // test on error.
 func fitted(t *testing.T, p Predictor, train []float64) Predictor {
@@ -52,7 +62,7 @@ func TestRegisterCustom(t *testing.T) {
 }
 
 func TestPaperPoolOrder(t *testing.T) {
-	pool := PaperPool(5)
+	pool := buildPool(t, 5, TierPaper)
 	want := []string{"LAST", "AR", "SW_AVG"}
 	got := pool.Names()
 	if len(got) != len(want) {
@@ -72,14 +82,14 @@ func TestPaperPoolOrder(t *testing.T) {
 }
 
 func TestExtendedPoolSize(t *testing.T) {
-	pool := ExtendedPool(5)
+	pool := buildPool(t, 5, TierExtended)
 	if pool.Size() != 8 {
 		t.Errorf("extended pool size = %d, want 8", pool.Size())
 	}
 }
 
 func TestPoolPredictAllAndBest(t *testing.T) {
-	pool := PaperPool(3)
+	pool := buildPool(t, 3, TierPaper)
 	train := []float64{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 	if err := pool.Fit(train); err != nil {
 		t.Fatal(err)
@@ -127,7 +137,7 @@ func TestLabelParallelMatchesSequential(t *testing.T) {
 	for i := 1; i < len(train); i++ {
 		train[i] = 0.7*train[i-1] + rng.NormFloat64()
 	}
-	pool := PaperPool(5)
+	pool := buildPool(t, 5, TierPaper)
 	if err := pool.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestLabelParallelMatchesSequential(t *testing.T) {
 }
 
 func TestLabelParallelErrors(t *testing.T) {
-	pool := PaperPool(3)
+	pool := buildPool(t, 3, TierPaper)
 	if err := pool.Fit([]float64{1, 2, 3, 4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestPredictorsDeterministicProperty(t *testing.T) {
 	for i := range train {
 		train[i] = rng.NormFloat64()
 	}
-	pool := ExtendedPool(5)
+	pool := buildPool(t, 5, TierExtended)
 	if err := pool.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestPredictorsDeterministicProperty(t *testing.T) {
 }
 
 func TestPredictorsRejectShortWindows(t *testing.T) {
-	pool := ExtendedPool(5)
+	pool := buildPool(t, 5, TierExtended)
 	if err := pool.Fit(make([]float64, 32)); err != nil {
 		t.Fatal(err)
 	}

@@ -115,8 +115,7 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 	})
 }
 
-// TestStreamsCursorPagination walks the cursor contract across /v1/streams
-// and checks the deprecated offset form still answers — flagged.
+// TestStreamsCursorPagination walks the cursor contract across /v1/streams.
 func TestStreamsCursorPagination(t *testing.T) {
 	env := newTestServer(t, engine.Config{Shards: 3}, Config{})
 	ids := []string{"a", "b", "c", "d", "e"}
@@ -138,9 +137,6 @@ func TestStreamsCursorPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("streams status = %d", resp.StatusCode)
 		}
-		if resp.Header.Get("Deprecation") != "" {
-			t.Error("cursor request answered with a Deprecation header")
-		}
 		if sr.Total != len(ids) {
 			t.Fatalf("total = %d, want %d", sr.Total, len(ids))
 		}
@@ -156,18 +152,6 @@ func TestStreamsCursorPagination(t *testing.T) {
 		t.Errorf("paginated IDs = %v, want sorted a..e exactly once", seen)
 	}
 
-	// Deprecated offset form: same answer, flagged.
-	var sr StreamsResponse
-	resp := getJSON(t, env.ts.URL+"/v1/streams?offset=2&limit=2", &sr)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("offset streams status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("offset request missing Deprecation header")
-	}
-	if len(sr.Streams) != 2 || sr.Streams[0].ID != "c" || sr.NextOffset == nil || *sr.NextOffset != 4 {
-		t.Errorf("offset page = %+v, want c,d with next_offset 4", sr)
-	}
 }
 
 // TestBulkForecastsNamed covers the dashboard fan-out: named streams with

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -220,43 +219,24 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestStreamsPagination pins the removal of offset paging: every ?offset=
+// form answers 400 bad_request naming the cursor contract, so an old
+// client fails loudly instead of re-reading the first page forever.
 func TestStreamsPagination(t *testing.T) {
 	env := newTestServer(t, engine.Config{Shards: 3}, Config{})
-	ids := []string{"a", "b", "c", "d", "e"}
-	for _, id := range ids {
+	for _, id := range []string{"a", "b", "c", "d", "e"} {
 		if err := env.eng.Register(id, newOnline(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var seen []string
-	offset := 0
-	for page := 0; ; page++ {
-		if page > len(ids) {
-			t.Fatal("pagination did not terminate")
+	for _, q := range []string{"offset=0", "offset=2&limit=2", "offset=-1", "offset=", "cursor=b&offset=1"} {
+		resp, got := fetchEnvelope(t, "GET", env.ts.URL+"/v1/streams?"+q, "")
+		if resp.StatusCode != http.StatusBadRequest || got.Error.Code != CodeBadRequest {
+			t.Errorf("?%s = %d code %q, want 400 %q", q, resp.StatusCode, got.Error.Code, CodeBadRequest)
 		}
-		var sr StreamsResponse
-		url := fmt.Sprintf("%s/v1/streams?offset=%d&limit=2", env.ts.URL, offset)
-		if resp := getJSON(t, url, &sr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("streams status = %d", resp.StatusCode)
+		if !strings.Contains(got.Error.Message, "cursor") {
+			t.Errorf("?%s message %q does not point at cursor paging", q, got.Error.Message)
 		}
-		if sr.Total != len(ids) {
-			t.Fatalf("total = %d, want %d", sr.Total, len(ids))
-		}
-		for _, s := range sr.Streams {
-			seen = append(seen, s.ID)
-		}
-		if sr.NextOffset == nil {
-			break
-		}
-		offset = *sr.NextOffset
-	}
-	if strings.Join(seen, "") != "abcde" {
-		t.Errorf("paginated IDs = %v, want sorted a..e exactly once", seen)
-	}
-
-	if resp := getJSON(t, env.ts.URL+"/v1/streams?offset=-1", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative offset status = %d, want 400", resp.StatusCode)
 	}
 	if resp := getJSON(t, env.ts.URL+"/v1/streams?limit=zero", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit status = %d, want 400", resp.StatusCode)

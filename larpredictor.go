@@ -219,26 +219,9 @@ const (
 )
 
 // BuildPool builds the canonical pool for a window size at the given tier,
-// appending any extra experts after the tier's roster. It replaces the
-// PaperPool/ExtendedPool/FullPool trio.
+// appending any extra experts after the tier's roster.
 func BuildPool(windowSize int, tier PoolTier, extra ...Predictor) (*Pool, error) {
 	return predictors.BuildPool(windowSize, tier, extra...)
-}
-
-// PaperPool returns the paper's three-expert pool {LAST, AR(m), SW_AVG(m)}.
-//
-// Deprecated: Use BuildPool(windowSize, TierPaper).
-func PaperPool(windowSize int) *Pool {
-	return predictors.PaperPool(windowSize)
-}
-
-// ExtendedPool returns the eight-expert pool: the paper pool plus running
-// average, sliding-window median, exponential smoothing, the tendency model
-// of Yang et al., and polynomial extrapolation.
-//
-// Deprecated: Use BuildPool(windowSize, TierExtended).
-func ExtendedPool(windowSize int) *Pool {
-	return predictors.ExtendedPool(windowSize)
 }
 
 // NewPool builds a pool from arbitrary experts, including user

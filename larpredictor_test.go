@@ -9,6 +9,16 @@ import (
 	larpredictor "github.com/acis-lab/larpredictor"
 )
 
+// buildPool builds a canonical pool, failing the test or benchmark on error.
+func buildPool(tb testing.TB, windowSize int, tier larpredictor.PoolTier) *larpredictor.Pool {
+	tb.Helper()
+	pool, err := larpredictor.BuildPool(windowSize, tier)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pool
+}
+
 // workload generates a regime-switching series through the public API's
 // trace generator so facade tests exercise real workload shapes.
 func workload(t *testing.T) []float64 {
@@ -57,7 +67,7 @@ func TestFacadeConfigValidation(t *testing.T) {
 
 func TestFacadeCustomPool(t *testing.T) {
 	cfg := larpredictor.DefaultConfig(5)
-	cfg.Pool = larpredictor.ExtendedPool(5)
+	cfg.Pool = buildPool(t, 5, larpredictor.TierExtended)
 	p, err := larpredictor.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +103,7 @@ func TestFacadeUserDefinedPredictor(t *testing.T) {
 		t.Fatal("registry returned the wrong predictor")
 	}
 	cfg := larpredictor.DefaultConfig(5)
-	experts := append([]larpredictor.Predictor{reverser{}}, larpredictor.PaperPool(5).Predictors()...)
+	experts := append([]larpredictor.Predictor{reverser{}}, buildPool(t, 5, larpredictor.TierPaper).Predictors()...)
 	cfg.Pool = larpredictor.NewPool(experts...)
 	p, err := larpredictor.New(cfg)
 	if err != nil {
@@ -138,7 +148,7 @@ func TestFacadeOnline(t *testing.T) {
 }
 
 func TestFacadeNWSBaseline(t *testing.T) {
-	pool := larpredictor.PaperPool(3)
+	pool := buildPool(t, 3, larpredictor.TierPaper)
 	if err := pool.Fit(workload(t)[:100]); err != nil {
 		t.Fatal(err)
 	}

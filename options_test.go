@@ -109,12 +109,6 @@ func TestFacadeBuildPool(t *testing.T) {
 	if _, err := larpredictor.BuildPool(5, larpredictor.PoolTier(99)); err == nil {
 		t.Error("BuildPool with unknown tier succeeded, want error")
 	}
-	// Deprecated wrappers still produce the same rosters.
-	if larpredictor.PaperPool(5).Size() != 3 ||
-		larpredictor.ExtendedPool(5).Size() != 8 ||
-		larpredictor.FullPool(5).Size() != 10 {
-		t.Error("deprecated pool wrappers diverge from BuildPool")
-	}
 }
 
 // tripler is a trivial custom expert for the extra-argument test.
