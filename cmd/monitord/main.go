@@ -155,10 +155,8 @@ type pipeline struct {
 	// lastSeen is the timestamp of the newest consolidated row already fed
 	// to the predictor.
 	lastSeen time.Time
-	// pending records an issued forecast awaiting its observation.
-	pending     float64
+	// pendingFor is the timestamp the newest issued forecast targets.
 	pendingFor  time.Time
-	hasPending  bool
 	predictions int
 
 	// recovery is the warm-restart outcome ("recovered", "cold",
@@ -397,10 +395,6 @@ func run(out io.Writer, o options) (*runSummary, error) {
 			p := byKey[r.ID]
 			ts := time.Unix(r.TS, 0).UTC()
 			db.PutObservation(p.key, ts, r.Value)
-			if p.hasPending && ts.Equal(p.pendingFor) {
-				// Forecast scored implicitly by the preddb QA.
-				p.hasPending = false
-			}
 			if errors.Is(r.Err, engine.ErrPoisoned) {
 				// The step panicked mid-row: like the old in-slice panic, the
 				// row is logged but never marked seen.
@@ -410,9 +404,7 @@ func run(out io.Writer, o options) (*runSummary, error) {
 			if r.Err != nil {
 				return // not ready, or terminally Failed (supervisor acts on health)
 			}
-			p.pending = r.Pred.Value
 			p.pendingFor = ts.Add(step)
-			p.hasPending = true
 			db.PutPrediction(p.key, p.pendingFor, r.Pred.Value, r.Pred.SelectedName)
 			p.predictions++
 		},
@@ -460,7 +452,6 @@ func run(out io.Writer, o options) (*runSummary, error) {
 				restarts.Inc()
 				p.quarantineUntil = time.Time{}
 				p.lastFault = ""
-				p.hasPending = false
 				// Skip the backlog: the poisoned window stays behind us.
 				p.lastSeen = now
 				continue // warm up from the next slice

@@ -63,9 +63,7 @@ type manifest struct {
 // core codec's framed predictor state.
 type pipeState struct {
 	LastSeen    int64
-	Pending     float64
 	PendingFor  int64
-	HasPending  bool
 	Predictions int
 	Online      []byte
 }
@@ -153,9 +151,7 @@ func (st *stateStore) snapshot(agent *monitor.Agent, db *preddb.DB, pipes []*pip
 		}
 		ps := pipeState{
 			LastSeen:    p.lastSeen.Unix(),
-			Pending:     p.pending,
 			PendingFor:  p.pendingFor.Unix(),
-			HasPending:  p.hasPending,
 			Predictions: p.predictions,
 			Online:      online.Bytes(),
 		}
@@ -274,9 +270,7 @@ func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipe
 				break
 			}
 			p.lastSeen = time.Unix(ps.LastSeen, 0).UTC()
-			p.pending = ps.Pending
 			p.pendingFor = time.Unix(ps.PendingFor, 0).UTC()
-			p.hasPending = ps.HasPending
 			p.predictions = ps.Predictions
 			p.recovery = recoveryRecovered
 			st.pipesRecovered.Inc()

@@ -189,8 +189,8 @@ func (l *LARPredictor) captureState() *larState {
 			s.PCA = *ps
 		}
 	}
-	s.Feats = l.trainFeats
-	s.Labels = l.trainLabels
+	s.Feats = l.clf.Points()
+	s.Labels = l.clf.Labels()
 	s.TrainRMSE = l.trainRMSE
 	s.FitSeries = l.trainFit
 	return s
@@ -210,8 +210,6 @@ func (l *LARPredictor) restoreState(s *larState) error {
 		l.norm = timeseries.Normalizer{}
 		l.proj = nil
 		l.clf = nil
-		l.trainLabels = nil
-		l.trainFeats = nil
 		l.trainFit = nil
 		l.trainRMSE = nil
 		return nil
@@ -284,8 +282,6 @@ func (l *LARPredictor) restoreState(s *larState) error {
 	l.norm = timeseries.Normalizer{Mean: s.NormMean, Std: s.NormStd}
 	l.proj = proj
 	l.clf = clf
-	l.trainLabels = s.Labels
-	l.trainFeats = s.Feats
 	l.trainFit = s.FitSeries
 	l.trainRMSE = s.TrainRMSE
 	l.trained = true

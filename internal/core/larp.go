@@ -109,15 +109,10 @@ type LARPredictor struct {
 	trained bool
 	norm    timeseries.Normalizer
 	proj    *pca.PCA
-	clf     *knn.Classifier
-
-	// trainLabels[i] is the best-expert label of training frame i; kept for
-	// introspection and the experiments' selection-timeline figures.
-	trainLabels []int
-	// trainFeats[i] is the (projected) feature vector of training frame i —
-	// the k-NN training set. Retained so the durable-state codec can
-	// serialize the trained classifier without re-labeling.
-	trainFeats [][]float64
+	// clf indexes the k-NN training set: training frame i's (projected)
+	// feature vector and best-expert label. The durable-state codec and
+	// TrainingLabels read them back from it.
+	clf *knn.Classifier
 	// trainFit is the normalized training series of the last successful
 	// Train call; restoring a snapshot refits the parametric experts on it,
 	// reproducing their state exactly without re-running the labeling pass.
@@ -174,9 +169,10 @@ func (l *LARPredictor) Normalizer() timeseries.Normalizer { return l.norm }
 // TrainingLabels returns a copy of the per-frame best-expert labels
 // identified during the last Train call.
 func (l *LARPredictor) TrainingLabels() []int {
-	out := make([]int, len(l.trainLabels))
-	copy(out, l.trainLabels)
-	return out
+	if l.clf == nil {
+		return nil
+	}
+	return l.clf.Labels()
 }
 
 // Train fits the LARPredictor on a raw (unnormalized) training series:
@@ -272,8 +268,6 @@ func (l *LARPredictor) Train(train []float64) (err error) {
 	l.norm = norm
 	l.proj = projector
 	l.clf = clf
-	l.trainLabels = labels
-	l.trainFeats = feats
 	l.trainFit = z
 	l.trainRMSE = rmse
 	l.trained = true

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/acis-lab/larpredictor/internal/linalg"
 )
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
@@ -14,10 +12,8 @@ func sqrt(x float64) float64 { return math.Sqrt(x) }
 // best-match algorithm (paper reference [13]): median splits on the axis of
 // maximum spread, branch-and-bound descent with a bounded candidate list.
 type kdTree struct {
-	points [][]float64
-	labels []int
-	dim    int
-	root   *kdNode
+	trainingSet
+	root *kdNode
 }
 
 type kdNode struct {
@@ -28,15 +24,9 @@ type kdNode struct {
 	left, right *kdNode
 }
 
-func newKDTree(points [][]float64, labels []int) *kdTree {
-	ps := make([][]float64, len(points))
-	for i, p := range points {
-		ps[i] = linalg.Clone(p)
-	}
-	ls := make([]int, len(labels))
-	copy(ls, labels)
-	t := &kdTree{points: ps, labels: ls, dim: len(ps[0])}
-	idx := make([]int, len(ps))
+func newKDTree(train trainingSet) *kdTree {
+	t := &kdTree{trainingSet: train}
+	idx := make([]int, t.Len())
 	for i := range idx {
 		idx[i] = i
 	}
@@ -53,7 +43,7 @@ func (t *kdTree) build(idx []int) *kdNode {
 	// Median split: sort indexes along the axis (index tiebreak keeps the
 	// build deterministic for duplicate coordinates).
 	sort.Slice(idx, func(a, b int) bool {
-		va, vb := t.points[idx[a]][axis], t.points[idx[b]][axis]
+		va, vb := t.point(idx[a])[axis], t.point(idx[b])[axis]
 		if va != vb {
 			return va < vb
 		}
@@ -73,7 +63,7 @@ func (t *kdTree) widestAxis(idx []int) int {
 	for a := 0; a < t.dim; a++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, i := range idx {
-			v := t.points[i][a]
+			v := t.point(i)[a]
 			if v < lo {
 				lo = v
 			}
@@ -88,8 +78,6 @@ func (t *kdTree) widestAxis(idx []int) int {
 	return bestAxis
 }
 
-func (t *kdTree) Len() int { return len(t.points) }
-
 func (t *kdTree) Nearest(q []float64, k int) ([]Neighbor, error) {
 	return t.NearestInto(q, k, nil)
 }
@@ -101,8 +89,8 @@ func (t *kdTree) NearestInto(q []float64, k int, buf []Neighbor) ([]Neighbor, er
 	if k < 1 {
 		return nil, fmt.Errorf("knn: k = %d < 1: %w", k, ErrBadInput)
 	}
-	if k > len(t.points) {
-		k = len(t.points)
+	if k > t.Len() {
+		k = t.Len()
 	}
 	cand := buf
 	if cap(cand) < k {
@@ -120,11 +108,10 @@ func (t *kdTree) searchNode(n *kdNode, q []float64, k int, cand *[]Neighbor) {
 	if n == nil {
 		return
 	}
-	p := t.points[n.index]
-	d := linalg.SquaredDistance(q, p)
+	d := t.sqDist(q, n.index)
 	insertCandidate(cand, k, Neighbor{Index: n.index, Label: t.labels[n.index], Distance: d})
 
-	diff := q[n.axis] - p[n.axis]
+	diff := q[n.axis] - t.coords[n.index*t.dim+n.axis]
 	near, far := n.left, n.right
 	if diff > 0 {
 		near, far = n.right, n.left

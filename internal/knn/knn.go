@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"github.com/acis-lab/larpredictor/internal/linalg"
 )
 
 // ErrBadInput is returned for invalid construction or query arguments.
@@ -50,6 +48,7 @@ type Searcher interface {
 // immutable after construction and safe for concurrent use.
 type Classifier struct {
 	search Searcher
+	train  trainingSet
 	k      int
 	vote   VoteStrategy
 	// numClasses is 1 + the maximum label seen, used for vote counting.
@@ -101,13 +100,69 @@ func NewClassifier(points [][]float64, labels []int, cfg Config) (*Classifier, e
 		return nil, fmt.Errorf("knn: k = %d < 1: %w", k, ErrBadInput)
 	}
 
+	train := newTrainingSet(points, labels)
 	var s Searcher
 	if cfg.UseKDTree {
-		s = newKDTree(points, labels)
+		s = newKDTree(train)
 	} else {
-		s = newBruteForce(points, labels)
+		s = newBruteForce(train)
 	}
-	return &Classifier{search: s, k: k, vote: cfg.Vote, numClasses: maxLabel + 1}, nil
+	return &Classifier{search: s, train: train, k: k, vote: cfg.Vote, numClasses: maxLabel + 1}, nil
+}
+
+// trainingSet is the indexed training data, copied at construction. The
+// points sit in one contiguous slice — point i is coords[i*dim:(i+1)*dim] —
+// so N points cost two allocations instead of N+2.
+type trainingSet struct {
+	coords []float64
+	dim    int
+	labels []int
+}
+
+// newTrainingSet copies points and labels; NewClassifier has checked that
+// there is at least one point and that all share one dimension.
+func newTrainingSet(points [][]float64, labels []int) trainingSet {
+	dim := len(points[0])
+	coords := make([]float64, 0, len(points)*dim)
+	for _, p := range points {
+		coords = append(coords, p...)
+	}
+	return trainingSet{coords: coords, dim: dim, labels: append([]int(nil), labels...)}
+}
+
+func (s *trainingSet) Len() int { return len(s.labels) }
+
+// point returns training point i (a view; callers must not modify it).
+func (s *trainingSet) point(i int) []float64 {
+	return s.coords[i*s.dim : (i+1)*s.dim]
+}
+
+// sqDist returns the squared Euclidean distance from q (of length dim) to
+// point i: linalg.SquaredDistance, inlined into the search loops.
+func (s *trainingSet) sqDist(q []float64, i int) float64 {
+	p := s.point(i)
+	var d float64
+	for j, x := range q {
+		t := x - p[j]
+		d += t * t
+	}
+	return d
+}
+
+// Points returns a copy of the training points, in index order.
+func (c *Classifier) Points() [][]float64 {
+	coords := append([]float64(nil), c.train.coords...)
+	dim := c.train.dim
+	out := make([][]float64, c.train.Len())
+	for i := range out {
+		out[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
+
+// Labels returns a copy of the training labels, in index order.
+func (c *Classifier) Labels() []int {
+	return append([]int(nil), c.train.labels...)
 }
 
 // K returns the configured neighbor count.
@@ -171,36 +226,27 @@ func (c *Classifier) ClassifyNeighbors(q []float64) (int, []Neighbor, error) {
 
 // bruteForce is the linear-scan searcher.
 type bruteForce struct {
-	points [][]float64
-	labels []int
+	trainingSet
 }
 
-func newBruteForce(points [][]float64, labels []int) *bruteForce {
-	ps := make([][]float64, len(points))
-	for i, p := range points {
-		ps[i] = linalg.Clone(p)
-	}
-	ls := make([]int, len(labels))
-	copy(ls, labels)
-	return &bruteForce{points: ps, labels: ls}
+func newBruteForce(train trainingSet) *bruteForce {
+	return &bruteForce{train}
 }
-
-func (b *bruteForce) Len() int { return len(b.points) }
 
 func (b *bruteForce) Nearest(q []float64, k int) ([]Neighbor, error) {
 	return b.NearestInto(q, k, nil)
 }
 
 func (b *bruteForce) NearestInto(q []float64, k int, buf []Neighbor) ([]Neighbor, error) {
-	if len(q) != len(b.points[0]) {
+	if len(q) != b.dim {
 		return nil, fmt.Errorf("knn: query dimension %d, index dimension %d: %w",
-			len(q), len(b.points[0]), ErrBadInput)
+			len(q), b.dim, ErrBadInput)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("knn: k = %d < 1: %w", k, ErrBadInput)
 	}
-	if k > len(b.points) {
-		k = len(b.points)
+	if k > b.Len() {
+		k = b.Len()
 	}
 	// Maintain a small sorted candidate list; k is tiny (3 in the paper) so
 	// insertion into a k-slot array beats a heap.
@@ -209,8 +255,8 @@ func (b *bruteForce) NearestInto(q []float64, k int, buf []Neighbor) ([]Neighbor
 		cand = make([]Neighbor, 0, k)
 	}
 	cand = cand[:0]
-	for i, p := range b.points {
-		d := linalg.SquaredDistance(q, p)
+	for i := range b.labels {
+		d := b.sqDist(q, i)
 		if len(cand) == k && !lessNeighbor(d, i, cand[k-1]) {
 			continue
 		}

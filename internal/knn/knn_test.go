@@ -180,8 +180,8 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 			}
 			labels[i] = rng.Intn(3)
 		}
-		bf := newBruteForce(pts, labels)
-		kd := newKDTree(pts, labels)
+		bf := newBruteForce(newTrainingSet(pts, labels))
+		kd := newKDTree(newTrainingSet(pts, labels))
 		for trial := 0; trial < 5; trial++ {
 			q := make([]float64, dim)
 			for j := range q {

@@ -21,10 +21,14 @@ import (
 // actually plot, and also keeps the forecast issued at the step so the
 // subscription feed can replay complete events from the ring.
 //
-// The write path is zero-allocation in steady state: rings and bucket
-// accumulators are allocated when a stream first appears and reused
-// forever after. Writers are the engine's shard workers (one per stream);
-// readers are HTTP handlers. A per-stream mutex covers both.
+// The raw ring keeps each step compact (rawEntry): the step counter follows
+// from the ring position and the targeting forecast from the steps before
+// it, so the full HistoryEntry is rebuilt only on read. Every ring grows on
+// demand, doubling up to its configured length, so a new or short-lived
+// stream holds only the history it has. Once a stream's rings reach their
+// configured length, Record is zero-allocation. Writers are the engine's
+// shard workers (one per stream); readers are HTTP handlers. A per-stream
+// mutex covers both.
 
 // HistoryEntry is one raw step in a stream's forecast history. It is also
 // a wire type: history range responses and SSE backfills serve it as JSON,
@@ -152,9 +156,10 @@ func (b *historyBucket) reset() {
 	b.Experts = b.Experts[:0]
 }
 
-func (b *historyBucket) add(e HistoryEntry) {
+// add folds in step seq, e, targeted by forecast f.
+func (b *historyBucket) add(seq uint64, e *rawEntry, f *forecast) {
 	if b.Count == 0 {
-		b.StartTS, b.StartSeq = e.TS, e.Seq
+		b.StartTS, b.StartSeq = e.TS, seq
 		b.ActualMin, b.ActualMax = e.Actual, e.Actual
 	} else {
 		if e.Actual < b.ActualMin {
@@ -165,22 +170,22 @@ func (b *historyBucket) add(e HistoryEntry) {
 		}
 	}
 	b.Count++
-	b.EndTS, b.EndSeq = e.TS, e.Seq
+	b.EndTS, b.EndSeq = e.TS, seq
 	b.ActualSum += e.Actual
-	if e.HasPred {
+	if f.HasPred {
 		b.Predicted++
-		b.PredSum += e.Pred
-		b.AbsErrSum += math.Abs(e.Pred - e.Actual)
+		b.PredSum += f.Pred
+		b.AbsErrSum += math.Abs(f.Pred - e.Actual)
 		found := false
 		for i := range b.Experts {
-			if b.Experts[i].Name == e.Expert {
+			if b.Experts[i].Name == f.Expert {
 				b.Experts[i].Count++
 				found = true
 				break
 			}
 		}
 		if !found {
-			b.Experts = append(b.Experts, expertCount{Name: e.Expert, Count: 1})
+			b.Experts = append(b.Experts, expertCount{Name: f.Expert, Count: 1})
 		}
 	}
 }
@@ -212,14 +217,102 @@ func (b *historyBucket) row() HistoryRow {
 	return r
 }
 
-// historyTier is one consolidated tier's runtime state: a preallocated row
-// ring plus the open bucket.
-type historyTier struct {
-	steps  int
-	ring   []HistoryRow
+// ring is a FIFO of at most max items that grows on demand: its backing
+// slice doubles as it fills, up to exactly max, and from then on each push
+// overwrites the oldest item.
+type ring[T any] struct {
+	buf    []T
 	head   int // next write slot
 	filled int
+	max    int
+}
+
+// minRingLen is the first allocation of an empty ring (clamped to max).
+const minRingLen = 4
+
+// push appends *v, overwriting the oldest item when the ring is full.
+func (r *ring[T]) push(v *T) {
+	if r.filled == len(r.buf) && len(r.buf) < r.max {
+		// A ring below max grows only when full, so its items run from
+		// head round to head-1; lay them out oldest first.
+		buf := make([]T, min(max(2*len(r.buf), minRingLen), r.max))
+		n := copy(buf, r.buf[r.head:])
+		copy(buf[n:], r.buf[:r.head])
+		r.buf, r.head = buf, r.filled
+	}
+	if r.filled < len(r.buf) {
+		r.filled++
+	}
+	r.buf[r.head] = *v
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// at returns the i-th oldest item, 0 <= i < filled.
+func (r *ring[T]) at(i int) *T {
+	j := r.head - r.filled + i
+	if j < 0 {
+		j += len(r.buf)
+	}
+	return &r.buf[j]
+}
+
+// load replaces the ring's contents with the newest max of items, oldest
+// first, sized to exactly what it keeps.
+func (r *ring[T]) load(items []T) {
+	if len(items) > r.max {
+		items = items[len(items)-r.max:]
+	}
+	r.buf = append([]T(nil), items...)
+	r.head, r.filled = 0, len(items)
+}
+
+// historyTier is one consolidated tier's runtime state: a row ring plus the
+// open bucket.
+type historyTier struct {
+	steps  int
+	rows   ring[HistoryRow]
 	bucket historyBucket
+}
+
+// forecast is one issued forecast, valid when HasPred; its fields match
+// HistoryState.Pending's.
+type forecast struct {
+	Pred    float64
+	Std     float64
+	Expert  string
+	HasPred bool
+}
+
+// carry advances f, the forecast pending before step e, past it: a step
+// that issued a forecast replaces f, and a failed step leaves it.
+func (f *forecast) carry(e *rawEntry) {
+	if e.HasNext {
+		*f = forecast{Pred: e.Next, Std: e.NextStd, Expert: e.NextExpert, HasPred: true}
+	}
+}
+
+// rawEntry is one raw step as the ring keeps it: the observation and the
+// forecast issued at the step. The rest of its HistoryEntry follows from
+// its neighbours: Seq from the ring position, and the targeting forecast
+// (Pred, Std, Expert, HasPred) is the last one issued before the step.
+type rawEntry struct {
+	TS         int64
+	Actual     float64
+	Next       float64
+	NextStd    float64
+	NextExpert string
+	HasNext    bool
+}
+
+// expand rebuilds the full entry for step seq, targeted by f.
+func (e *rawEntry) expand(seq uint64, f *forecast) HistoryEntry {
+	return HistoryEntry{
+		Seq: seq, TS: e.TS, Actual: e.Actual,
+		Pred: f.Pred, Std: f.Std, Expert: f.Expert, HasPred: f.HasPred,
+		Next: e.Next, NextStd: e.NextStd, NextExpert: e.NextExpert, HasNext: e.HasNext,
+	}
 }
 
 // streamHistory is one stream's full history state.
@@ -227,18 +320,28 @@ type streamHistory struct {
 	mu  sync.Mutex
 	seq uint64
 
-	raw    []HistoryEntry
-	head   int
-	filled int
-
-	tiers []historyTier
-
+	// raw holds steps seq-filled+1 .. seq; first is the forecast that
+	// targeted the oldest of them.
+	raw   ring[rawEntry]
+	first forecast
 	// pending is the forecast issued at the newest step, waiting to be
 	// paired with the next observation.
-	pending        float64
-	pendingStd     float64
-	pendingExpert  string
-	pendingHasPred bool
+	pending forecast
+
+	tiers []historyTier
+}
+
+// newStream returns an empty stream history shaped by the store's config;
+// its rings allocate on first use.
+func (h *HistoryStore) newStream() *streamHistory {
+	sh := &streamHistory{
+		raw:   ring[rawEntry]{max: h.cfg.RawRows},
+		tiers: make([]historyTier, len(h.cfg.Tiers)),
+	}
+	for i, t := range h.cfg.Tiers {
+		sh.tiers[i] = historyTier{steps: t.Steps, rows: ring[HistoryRow]{max: t.Rows}}
+	}
+	return sh
 }
 
 // HistoryStore holds every stream's forecast history. Construct with
@@ -277,13 +380,7 @@ func (h *HistoryStore) stream(id string) *streamHistory {
 	if v, ok := h.m.Load(id); ok {
 		return v.(*streamHistory)
 	}
-	sh := &streamHistory{
-		raw:   make([]HistoryEntry, h.cfg.RawRows),
-		tiers: make([]historyTier, len(h.cfg.Tiers)),
-	}
-	for i, t := range h.cfg.Tiers {
-		sh.tiers[i] = historyTier{steps: t.Steps, ring: make([]HistoryRow, t.Rows)}
-	}
+	sh := h.newStream()
 	if v, loaded := h.m.LoadOrStore(id, sh); loaded {
 		return v.(*streamHistory)
 	}
@@ -293,52 +390,70 @@ func (h *HistoryStore) stream(id string) *streamHistory {
 // Record folds one engine result into the stream's history: the observation
 // pairs with the previous step's forecast, the new forecast (when the step
 // succeeded) becomes pending, and full buckets consolidate into each tier.
-// Safe to call from engine.Config.OnResult; zero allocations in steady
-// state.
+// Safe to call from engine.Config.OnResult; zero allocations once the
+// stream's rings reach their configured length.
 func (h *HistoryStore) Record(r engine.Result) {
 	sh := h.stream(r.ID)
 	sh.mu.Lock()
 	sh.seq++
-	e := HistoryEntry{
-		Seq:    sh.seq,
-		TS:     r.TS,
-		Actual: r.Value,
-	}
-	if sh.pendingHasPred {
-		e.Pred, e.Std, e.Expert, e.HasPred = sh.pending, sh.pendingStd, sh.pendingExpert, true
-	}
+	e := rawEntry{TS: r.TS, Actual: r.Value}
 	if r.Err == nil {
 		e.Next, e.NextStd, e.NextExpert, e.HasNext = r.Pred.Value, r.Pred.StdEstimate, r.Pred.SelectedName, true
-		sh.pending, sh.pendingStd, sh.pendingExpert, sh.pendingHasPred =
-			r.Pred.Value, r.Pred.StdEstimate, r.Pred.SelectedName, true
 	}
-	sh.append(e)
+	hook := h.onAppend.Load()
+	var full HistoryEntry
+	if hook != nil {
+		full = e.expand(sh.seq, &sh.pending)
+	}
+	sh.append(&e)
 	sh.mu.Unlock()
-	if f := h.onAppend.Load(); f != nil {
-		(*f)(r.ID, e)
+	if hook != nil {
+		(*hook)(r.ID, full)
 	}
 }
 
-// append writes one entry into the raw ring and feeds the tier buckets.
-// Callers hold sh.mu.
-func (sh *streamHistory) append(e HistoryEntry) {
-	sh.raw[sh.head] = e
-	sh.head = (sh.head + 1) % len(sh.raw)
-	if sh.filled < len(sh.raw) {
-		sh.filled++
+// append writes step sh.seq into the raw ring, feeds the tier buckets, and
+// makes the step's forecast pending. Callers hold sh.mu.
+func (sh *streamHistory) append(e *rawEntry) {
+	if sh.raw.filled == sh.raw.max {
+		// The push evicts the oldest step, which targets the next one.
+		sh.first.carry(sh.raw.at(0))
 	}
+	sh.raw.push(e)
 	for i := range sh.tiers {
 		t := &sh.tiers[i]
-		t.bucket.add(e)
+		t.bucket.add(sh.seq, e, &sh.pending)
 		if t.bucket.Count >= t.steps {
-			t.ring[t.head] = t.bucket.row()
-			t.head = (t.head + 1) % len(t.ring)
-			if t.filled < len(t.ring) {
-				t.filled++
-			}
+			row := t.bucket.row()
+			t.rows.push(&row)
 			t.bucket.reset()
 		}
 	}
+	sh.pending.carry(e)
+}
+
+// entries appends to dst the raw steps from the i-th oldest on that keep
+// accepts (all when keep is nil), expanded, oldest first. Callers hold
+// sh.mu.
+func (sh *streamHistory) entries(dst []HistoryEntry, i int, keep func(*rawEntry) bool) []HistoryEntry {
+	// The forecast targeting step i is the last one issued before it.
+	f := sh.first
+	for j := i - 1; j >= 0; j-- {
+		if e := sh.raw.at(j); e.HasNext {
+			f.carry(e)
+			break
+		}
+	}
+	seq := sh.seq - uint64(sh.raw.filled) + uint64(i)
+	for ; i < sh.raw.filled; i++ {
+		e := sh.raw.at(i)
+		seq++
+		if keep == nil || keep(e) {
+			dst = append(dst, e.expand(seq, &f))
+		}
+		f.carry(e)
+	}
+	return dst
 }
 
 // Seq returns the stream's current step counter (0 for an unknown stream).
@@ -395,14 +510,16 @@ func (h *HistoryStore) Range(id string, q RangeQuery) (RangeResult, bool) {
 	}
 	res := RangeResult{Resolution: 1}
 	if q.Step <= 1 {
-		for i := 0; i < sh.filled; i++ {
-			pos := (sh.head - sh.filled + i + 2*len(sh.raw)) % len(sh.raw)
-			e := sh.raw[pos]
-			if (q.HasFrom && e.TS < q.From) || (q.HasTo && e.TS > q.To) {
-				continue
+		start := 0
+		var keep func(*rawEntry) bool
+		if q.HasFrom || q.HasTo {
+			keep = func(e *rawEntry) bool {
+				return !(q.HasFrom && e.TS < q.From) && !(q.HasTo && e.TS > q.To)
 			}
-			res.Entries = append(res.Entries, e)
+		} else if q.Limit > 0 && sh.raw.filled > q.Limit {
+			start = sh.raw.filled - q.Limit // unfiltered: expand only the newest
 		}
+		res.Entries = sh.entries(nil, start, keep)
 		if q.Limit > 0 && len(res.Entries) > q.Limit {
 			res.Entries = res.Entries[len(res.Entries)-q.Limit:]
 		}
@@ -418,13 +535,12 @@ func (h *HistoryStore) Range(id string, q RangeQuery) (RangeResult, bool) {
 	}
 	t := &sh.tiers[ti]
 	res.Resolution = t.steps
-	for i := 0; i < t.filled; i++ {
-		pos := (t.head - t.filled + i + 2*len(t.ring)) % len(t.ring)
-		r := t.ring[pos]
+	for i := 0; i < t.rows.filled; i++ {
+		r := t.rows.at(i)
 		if (q.HasFrom && r.EndTS < q.From) || (q.HasTo && r.StartTS > q.To) {
 			continue
 		}
-		res.Rows = append(res.Rows, r)
+		res.Rows = append(res.Rows, *r)
 	}
 	// The open bucket serves as a final partial row so the range reaches
 	// the present even between consolidation boundaries.
@@ -452,11 +568,14 @@ func (h *HistoryStore) EntriesSince(id string, after uint64, dst []HistoryEntry)
 	sh := v.(*streamHistory)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 0; i < sh.filled; i++ {
-		pos := (sh.head - sh.filled + i + 2*len(sh.raw)) % len(sh.raw)
-		if sh.raw[pos].Seq > after {
-			dst = append(dst, sh.raw[pos])
+	// Steps seq-filled+1 .. seq are in the ring; those after the cursor
+	// are its newest seq-after.
+	if after < sh.seq {
+		start := 0
+		if n := sh.seq - after; n < uint64(sh.raw.filled) {
+			start = sh.raw.filled - int(n)
 		}
+		dst = sh.entries(dst, start, nil)
 	}
 	return dst, sh.seq
 }
@@ -517,20 +636,13 @@ func (h *HistoryStore) State(id string) (HistoryState, bool) {
 	sh := v.(*streamHistory)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := HistoryState{Seq: sh.seq}
-	st.Pending.Pred, st.Pending.Std = sh.pending, sh.pendingStd
-	st.Pending.Expert, st.Pending.HasPred = sh.pendingExpert, sh.pendingHasPred
-	st.Raw = make([]HistoryEntry, 0, sh.filled)
-	for i := 0; i < sh.filled; i++ {
-		pos := (sh.head - sh.filled + i + 2*len(sh.raw)) % len(sh.raw)
-		st.Raw = append(st.Raw, sh.raw[pos])
-	}
+	st := HistoryState{Seq: sh.seq, Pending: sh.pending}
+	st.Raw = sh.entries(make([]HistoryEntry, 0, sh.raw.filled), 0, nil)
 	for i := range sh.tiers {
 		t := &sh.tiers[i]
-		ts := HistoryTierState{Steps: t.steps, Rows: make([]HistoryRow, 0, t.filled)}
-		for j := 0; j < t.filled; j++ {
-			pos := (t.head - t.filled + j + 2*len(t.ring)) % len(t.ring)
-			ts.Rows = append(ts.Rows, t.ring[pos])
+		ts := HistoryTierState{Steps: t.steps, Rows: make([]HistoryRow, 0, t.rows.filled)}
+		for j := 0; j < t.rows.filled; j++ {
+			ts.Rows = append(ts.Rows, *t.rows.at(j))
 		}
 		b := &t.bucket
 		ts.Bucket = HistoryBucketState{
@@ -554,33 +666,34 @@ func (h *HistoryStore) State(id string) (HistoryState, bool) {
 // (newest kept) and only tiers whose Steps match the current config keep
 // their rows; mismatched tiers restart cold.
 func (h *HistoryStore) Restore(id string, st HistoryState) {
-	sh := &streamHistory{
-		raw:   make([]HistoryEntry, h.cfg.RawRows),
-		tiers: make([]historyTier, len(h.cfg.Tiers)),
-	}
+	sh := h.newStream()
 	sh.seq = st.Seq
-	sh.pending, sh.pendingStd = st.Pending.Pred, st.Pending.Std
-	sh.pendingExpert, sh.pendingHasPred = st.Pending.Expert, st.Pending.HasPred
+	sh.pending = forecast(st.Pending)
+	// Persisted entries carry their Seq and targeting forecast; the ring
+	// derives both, from st.Seq and from the oldest kept entry's forecast
+	// (the pending one while the ring is empty).
+	sh.first = sh.pending
 	raw := st.Raw
 	if len(raw) > h.cfg.RawRows {
 		raw = raw[len(raw)-h.cfg.RawRows:]
 	}
-	copy(sh.raw, raw)
-	sh.head = len(raw) % len(sh.raw)
-	sh.filled = len(raw)
-	for i, spec := range h.cfg.Tiers {
-		t := historyTier{steps: spec.Steps, ring: make([]HistoryRow, spec.Rows)}
+	if len(raw) > 0 {
+		e := raw[0]
+		sh.first = forecast{Pred: e.Pred, Std: e.Std, Expert: e.Expert, HasPred: e.HasPred}
+		sh.raw.buf = make([]rawEntry, len(raw))
+		for i, e := range raw {
+			sh.raw.buf[i] = rawEntry{TS: e.TS, Actual: e.Actual,
+				Next: e.Next, NextStd: e.NextStd, NextExpert: e.NextExpert, HasNext: e.HasNext}
+		}
+		sh.raw.filled = len(raw)
+	}
+	for i := range sh.tiers {
+		t := &sh.tiers[i]
 		for _, ts := range st.Tiers {
-			if ts.Steps != spec.Steps {
+			if ts.Steps != t.steps {
 				continue
 			}
-			rows := ts.Rows
-			if len(rows) > spec.Rows {
-				rows = rows[len(rows)-spec.Rows:]
-			}
-			copy(t.ring, rows)
-			t.head = len(rows) % len(t.ring)
-			t.filled = len(rows)
+			t.rows.load(ts.Rows)
 			b := ts.Bucket
 			t.bucket = historyBucket{
 				Count: b.Count, Predicted: b.Predicted,
@@ -594,7 +707,6 @@ func (h *HistoryStore) Restore(id string, st HistoryState) {
 			}
 			break
 		}
-		sh.tiers[i] = t
 	}
 	h.m.Store(id, sh)
 }

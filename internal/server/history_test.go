@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/acis-lab/larpredictor/internal/core"
@@ -356,5 +357,45 @@ func TestHistoryTierBoundarySelection(t *testing.T) {
 	}
 	if res.Rows[0].StartSeq != 1 || res.Rows[0].EndSeq != 9 {
 		t.Fatalf("tier 32 open bucket bounds = %+v, want seq 1..9", res.Rows[0])
+	}
+}
+
+// TestHistoryStreamFootprint bounds the heap a stream's history holds after
+// 80 steps, over 1,000 streams, under the benchmark's history config and
+// the defaults. Rings grow on demand, so a young stream must not pay for
+// its full configured capacity (about 100 KB with the defaults).
+func TestHistoryStreamFootprint(t *testing.T) {
+	const streams, steps = 1000, 80
+	ids := make([]string, streams)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("vm%d/cpu", i)
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      HistoryConfig
+		maxBytes uint64
+	}{
+		{"bench", HistoryConfig{RawRows: 64, Tiers: []HistoryTier{{Steps: 16, Rows: 32}, {Steps: 256, Rows: 8}}}, 6800},
+		{"defaults", HistoryConfig{}, 11700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			h := newHistory(t, tc.cfg)
+			for step := 1; step <= steps; step++ {
+				for _, id := range ids {
+					h.Record(histResult(id, int64(step), float64(step), float64(step)+1, "AR", false))
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(h)
+			perStream := (after.HeapAlloc - before.HeapAlloc) / streams
+			t.Logf("%d B per stream", perStream)
+			if perStream > tc.maxBytes {
+				t.Errorf("%d heap bytes per stream after %d steps, want <= %d", perStream, steps, tc.maxBytes)
+			}
+		})
 	}
 }

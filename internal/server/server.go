@@ -829,7 +829,7 @@ func (s *Server) handleBulkForecasts(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		resp := BulkForecastsResponse{Streams: []ForecastResponse{}}
+		resp := BulkForecastsResponse{Streams: make([]ForecastResponse, 0, len(ids))}
 		for _, id := range ids {
 			if doc, ok := s.forecastDoc(id); ok {
 				resp.Streams = append(resp.Streams, doc)

@@ -14,7 +14,36 @@ func Mean(v []float64) float64 {
 	for _, x := range v {
 		s += x
 	}
+	m := s / float64(len(v))
+	if math.IsInf(m, 0) {
+		// The running sum overflowed, yet the mean of finite values always
+		// fits: sum v/max|v| instead.
+		if a := maxAbs(v); !math.IsInf(a, 0) && !math.IsNaN(a) {
+			return scaledMean(v, a) * a
+		}
+	}
+	return m
+}
+
+// scaledMean returns the mean of v/a.
+func scaledMean(v []float64, a float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x / a
+	}
 	return s / float64(len(v))
+}
+
+// maxAbs returns max |v[i]|, or NaN when v holds a NaN.
+func maxAbs(v []float64) float64 {
+	var a float64
+	for _, x := range v {
+		if math.IsNaN(x) {
+			return x
+		}
+		a = math.Max(a, math.Abs(x))
+	}
+	return a
 }
 
 // Variance returns the population variance of v (divisor n), matching the
@@ -72,7 +101,32 @@ func Autocovariance(v []float64, k int) (float64, error) {
 	for t := 0; t+k < n; t++ {
 		s += (v[t] - m) * (v[t+k] - m)
 	}
-	return s / float64(n), nil
+	c := s / float64(n)
+	if math.IsInf(c, 0) || math.IsNaN(c) {
+		c = rescaledAutocovariance(v, k, c)
+	}
+	return c, nil
+}
+
+// rescaledAutocovariance recomputes a non-finite lag-k autocovariance c of
+// finite inputs on v/max|v|: near MaxFloat64 the deviations or their
+// products overflow, and Inf − Inf sums to NaN. The scaled estimate is
+// finite and scales back by max|v|², overflowing to ±Inf at worst; a zero
+// stays 0 rather than 0·Inf = NaN. Inputs holding Inf or NaN keep c.
+func rescaledAutocovariance(v []float64, k int, c float64) float64 {
+	a := maxAbs(v)
+	if math.IsInf(a, 0) || math.IsNaN(a) {
+		return c
+	}
+	m := scaledMean(v, a)
+	var s float64
+	for t := 0; t+k < len(v); t++ {
+		s += (v[t]/a - m) * (v[t+k]/a - m)
+	}
+	if s == 0 {
+		return 0
+	}
+	return s / float64(len(v)) * a * a
 }
 
 // AutocovarianceSeq returns autocovariances for lags 0..maxLag.

@@ -140,6 +140,31 @@ func TestAutocovarianceSeqPSD(t *testing.T) {
 	}
 }
 
+// TestAutocovarianceNearMaxFloat pins the overflow path: finite inputs near
+// MaxFloat64 overflow the plain sums, and the estimate must then be rescaled
+// (finite or ±Inf), never NaN; the mean of finite values stays finite.
+func TestAutocovarianceNearMaxFloat(t *testing.T) {
+	const big = math.MaxFloat64
+	if got := Mean([]float64{big, big, big / 2}); got != big/6*5 {
+		t.Errorf("Mean near MaxFloat64 = %g, want %g", got, big/6*5)
+	}
+	for _, v := range [][]float64{
+		{0.6 * big, -big, 0.6 * big, 0.6 * big},
+		{big, -big, big, big},
+		{big, -big, big, -big},
+		{big, big / 2, -big, 0, big},
+		{-big, -big, -big, -big / 3},
+	} {
+		c0, _ := Autocovariance(v, 0)
+		for k := range v {
+			ck, err := Autocovariance(v, k)
+			if err != nil || math.IsNaN(ck) || math.Abs(ck) > c0 {
+				t.Errorf("Autocovariance(%v, %d) = %g, %v (c0 %g): want non-NaN, |ck| <= c0", v, k, ck, err, c0)
+			}
+		}
+	}
+}
+
 func TestNormalizerRoundTrip(t *testing.T) {
 	f := func(raw [20]float64) bool {
 		v := raw[:]
