@@ -8,7 +8,7 @@
 // client-side (source, seq) idempotency key that stays fixed across
 // retries, and a predictd running with -durability=wal applies each key
 // exactly once. That makes every retryable failure — including a 503 with
-// reason "timeout", where the first attempt may still have committed
+// code "timeout", where the first attempt may still have committed
 // server-side — safe to resend blindly.
 package client
 
@@ -30,8 +30,8 @@ import (
 	"github.com/acis-lab/larpredictor/internal/obs"
 )
 
-// Reason labels for the retries counter; 503 responses carry the server's
-// X-Predictd-Reason verbatim (drain, shed, timeout).
+// Reason labels for the retries counter. A 503 is labelled by the cause its
+// error envelope names (see reasonForCode).
 const (
 	reasonNetwork     = "network"
 	reasonThrottle    = "throttle"
@@ -39,13 +39,17 @@ const (
 	reasonServer      = "server"
 )
 
-// reasonHeader and routeHeader mirror the server's header names without
-// importing the server package: the wire contract is the header name, not
-// the Go identifier.
-const (
-	reasonHeader = "X-Predictd-Reason"
-	routeHeader  = "X-Predictd-Route"
-)
+// reasonForCode maps a 503's error-envelope code to its retry reason label.
+var reasonForCode = map[string]string{
+	"draining":       "drain",
+	"shed":           "shed",
+	"timeout":        "timeout",
+	"forward_failed": "forward",
+}
+
+// routeHeader mirrors the server's header name without importing the server
+// package: the wire contract is the header name, not the Go identifier.
+const routeHeader = "X-Predictd-Route"
 
 // ErrBreakerOpen is returned without issuing a request while the circuit
 // breaker is open. The caller may retry later; the breaker half-opens after
@@ -56,7 +60,7 @@ var ErrBreakerOpen = errors.New("predictclient: circuit breaker open")
 // retryable failure once attempts are exhausted.
 type StatusError struct {
 	Code   int
-	Reason string // X-Predictd-Reason when the server sent one
+	Reason string // the 503 cause its envelope code names: drain, shed, timeout or forward
 	// ErrCode is the machine-readable code from the server's unified error
 	// envelope ({"error":{"code":...}}), when the body carried one. Branch
 	// on it rather than on Body or Reason.
@@ -74,12 +78,15 @@ func (e *StatusError) Error() string {
 // statusError builds a StatusError from a response, extracting the
 // envelope's machine code when the body carries one.
 func statusError(resp *http.Response, raw []byte) *StatusError {
-	se := &StatusError{Code: resp.StatusCode, Reason: resp.Header.Get(reasonHeader), Body: string(raw)}
+	se := &StatusError{Code: resp.StatusCode, Body: string(raw)}
 	var env struct {
 		Error *ErrorBody `json:"error"`
 	}
 	if json.Unmarshal(raw, &env) == nil && env.Error != nil {
 		se.ErrCode = env.Error.Code
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			se.Reason = reasonForCode[se.ErrCode]
+		}
 	}
 	return se
 }

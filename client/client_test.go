@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -40,16 +41,17 @@ func TestNewRequiresBaseURL(t *testing.T) {
 	}
 }
 
-// TestRetryUntilSuccess: two 503s (with Retry-After and a reason), then a
+// TestRetryUntilSuccess: two 503s (with Retry-After and code "shed"), then a
 // 202 — the client retries through, the caller sees only success, and the
 // retry metric carries the server's reason label.
 func TestRetryUntilSuccess(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			w.Header().Set(reasonHeader, "shed")
+			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", "0")
 			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, `{"error":{"code":"shed","message":"server at capacity"}}`)
 			return
 		}
 		var req IngestRequest

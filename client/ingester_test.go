@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -30,8 +31,9 @@ func newIngestRecorder(t *testing.T) *ingestRecorder {
 		defer rec.mu.Unlock()
 		if rec.failNext > 0 {
 			rec.failNext--
-			w.Header().Set(reasonHeader, "shed")
+			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, `{"error":{"code":"shed","message":"server at capacity"}}`)
 			return
 		}
 		rec.batches = append(rec.batches, req.Samples)

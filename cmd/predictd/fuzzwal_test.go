@@ -105,7 +105,7 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayOnce := func(dir string) (records int, applied uint64, ok bool) {
-			ws, err := openWALStore(dir, 0, nil, io.Discard)
+			ws, err := openWALStore(dir, nil, io.Discard)
 			if err != nil {
 				return 0, 0, false
 			}

@@ -28,7 +28,6 @@ func TestHelperPredictdProcess(t *testing.T) {
 	o := testOptions()
 	o.stateDir = os.Getenv("PREDICTD_HELPER_STATE")
 	o.durability = "wal"
-	o.walSync = time.Millisecond
 	o.snapEvery = 0
 	if v := os.Getenv("PREDICTD_HELPER_SNAP_EVERY"); v != "" {
 		d, err := time.ParseDuration(v)

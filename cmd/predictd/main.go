@@ -63,7 +63,7 @@ func main() {
 		stateDir   = flag.String("state", "", "state directory for durable snapshots; empty runs stateless")
 		snapEvery  = flag.Duration("snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
 		durability = flag.String("durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
-		walSync    = flag.Duration("wal-sync", 2*time.Millisecond, "group-commit window: max time an acked batch waits for its shared fsync (0 syncs every batch)")
+		_          = flag.Duration("wal-sync", 0, "deprecated and ignored: WAL group commit is paced by the fsync itself; removed in the next release")
 		inflight   = flag.Int("max-inflight", 256, "max concurrently served /v1 requests before shedding with 503")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout")
 		maxBody    = flag.Int64("max-body", 1<<20, "max ingest request body bytes")
@@ -80,6 +80,11 @@ func main() {
 		downAfter   = flag.Duration("down-after", 2*time.Second, "time a peer stays suspect before it is confirmed down")
 	)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "wal-sync" {
+			fmt.Fprintln(os.Stderr, "predictd: -wal-sync is deprecated and ignored; it is removed in the next release")
+		}
+	})
 
 	opts := options{
 		listen:       *listen,
@@ -97,7 +102,6 @@ func main() {
 		stateDir:     *stateDir,
 		snapEvery:    *snapEvery,
 		durability:   *durability,
-		walSync:      *walSync,
 		maxInFlight:  *inflight,
 		reqTimeout:   *reqTimeout,
 		maxBody:      *maxBody,
@@ -136,7 +140,6 @@ type options struct {
 	stateDir     string
 	snapEvery    time.Duration
 	durability   string
-	walSync      time.Duration
 	maxInFlight  int
 	reqTimeout   time.Duration
 	maxBody      int64
@@ -317,7 +320,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		if walMode {
 			// Open the WAL before restoring so the snapshot's dedup table
 			// is in place when replay runs.
-			ws, err = openWALStore(o.stateDir, o.walSync, reg, os.Stderr)
+			ws, err = openWALStore(o.stateDir, reg, os.Stderr)
 			if err != nil {
 				return err
 			}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
@@ -25,6 +24,19 @@ import (
 // quarantined, exactly like monitord's recovery). A completed snapshot
 // truncates the WAL, since everything it protected is now in the snapshot.
 //
+// Group commit is leader/follower: the first committer that finds its
+// appends not yet durable runs the fsync itself, and every append that lands
+// while it runs shares the next one. The fsync's own duration is the commit
+// window, so a lone batch waits for one fsync and a busy log amortizes each
+// fsync over everything appended meanwhile.
+//
+// A failed append or fsync poisons the store: that commit and every later
+// one fail with the first error until restart, and no snapshot is taken.
+// After a failed fsync the kernel may have dropped the dirty pages, so a
+// later successful fsync proves nothing about them; after a short write,
+// later records would land behind torn bytes that recovery stops at. A
+// restart recovers from the last snapshot plus the WAL's intact prefix.
+//
 // Locking: request-path commits hold mu.RLock across dedup+append+enqueue;
 // the snapshot path holds mu.Lock across drain+capture+reset, so no batch
 // can land between "in the snapshot" and "in the WAL" — each acked sample
@@ -33,14 +45,31 @@ import (
 // whose first send is still in flight) can never pass the dedup check
 // twice; a mark only survives commitMu release if its record was appended.
 
+// walLog is the part of durable.BatchWAL that walStore drives; tests
+// substitute a fake to inject append and fsync failures.
+type walLog interface {
+	Append(payload []byte) error
+	Sync() error
+	TruncateRecords(keep int) error
+	Reset() error
+	Close() error
+}
+
 // walStore owns predictd's write-ahead log, idempotency table, and group
-// syncer.
+// commit.
 type walStore struct {
 	mu       sync.RWMutex // RLock: commit path; Lock: snapshot capture+reset
-	commitMu sync.Mutex   // serializes dedup marks with WAL appends
-	wal      *durable.BatchWAL
+	commitMu sync.Mutex   // serializes dedup marks with WAL appends; guards the group-commit state
+	synced   *sync.Cond   // on commitMu: an fsync finished
+	wal      walLog
 	dedup    *server.Dedup
-	sync     *groupSyncer
+
+	// Group-commit state, guarded by commitMu: records appended, records
+	// covered by the last completed fsync, whether a leader is fsyncing,
+	// and the first append or fsync failure.
+	appended, durable uint64
+	syncing           bool
+	err               error
 
 	// pending holds the records recovered at open, until replay consumes
 	// them.
@@ -56,11 +85,10 @@ func walPath(dir string) string { return filepath.Join(dir, "predictd.wal") }
 
 // openWALStore opens (or creates) the state directory's WAL, recovering its
 // intact records for replay. A file that is not a predictd WAL is
-// quarantined and a fresh log started; a torn tail is truncated. syncEvery
-// is the group-commit window: appends buffer for at most that long before
-// one fsync covers them all (0 syncs every commit).
-func openWALStore(dir string, syncEvery time.Duration, reg *obs.Registry, logw io.Writer) (*walStore, error) {
+// quarantined and a fresh log started; a torn tail is truncated.
+func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, error) {
 	ws := &walStore{dedup: server.NewDedup()}
+	ws.synced = sync.NewCond(&ws.commitMu)
 	if reg != nil {
 		ws.appends = reg.Counter1("predictd_wal_appends_total",
 			"Ingest batches appended to the write-ahead log.")
@@ -91,19 +119,23 @@ func openWALStore(dir string, syncEvery time.Duration, reg *obs.Registry, logw i
 	}
 	ws.wal = w
 	ws.pending = recs
-	ws.sync = newGroupSyncer(w.Sync, syncEvery)
 	return ws, nil
 }
 
 // ingest is the request-path commit, wired as server.Config.Ingest: dedup,
 // durable append, group-commit fsync, then the normal engine enqueue. When
 // it returns without error the batch is on disk — the 202 the handler sends
-// is crash-safe.
+// is crash-safe. That holds for deduplicated samples too: a retry whose
+// first attempt is still waiting for its fsync waits for the same fsync.
 func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (accepted, deduped int, err error) {
 	ws.mu.RLock()
 	defer ws.mu.RUnlock()
 
 	ws.commitMu.Lock()
+	if ws.err != nil {
+		ws.commitMu.Unlock()
+		return 0, 0, ws.err
+	}
 	fresh := make([]server.KeyedSample, 0, len(batch))
 	for _, ks := range batch {
 		if ks.Source != "" && ks.Seq != 0 && !ws.dedup.Apply(ks.ID, ks.Source, ks.Seq) {
@@ -113,32 +145,38 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 		}
 		fresh = append(fresh, ks)
 	}
-	var gen uint64
 	if len(fresh) > 0 {
 		if aerr := ws.wal.Append(encodeWALBatch(fresh)); aerr != nil {
-			// The batch did not commit: withdraw the marks so a client
-			// retry is admitted rather than silently deduplicated away.
+			// The batch did not commit: withdraw the marks so its keys stay
+			// unapplied.
 			for _, ks := range fresh {
 				if ks.Source != "" && ks.Seq != 0 {
 					ws.dedup.Revert(ks.ID, ks.Source, ks.Seq)
 				}
 			}
+			// An oversized record is refused before any byte is written;
+			// any other failure may have left a torn tail.
+			if !errors.Is(aerr, durable.ErrRecordTooLarge) {
+				ws.err = aerr
+			}
 			ws.commitMu.Unlock()
 			return 0, deduped, aerr
 		}
 		ws.appends.Inc()
-		gen = ws.sync.noteAppend()
+		ws.appended++
 	}
+	// Wait for every append so far, not only this batch's: a deduplicated
+	// sample may belong to a record that is not durable yet.
+	serr := ws.awaitDurable(ws.appended)
 	ws.commitMu.Unlock()
-
+	if serr != nil {
+		// Durability is unknown, so refuse the ack. The marks stay — the
+		// record may well be on disk — and the store is poisoned, so no
+		// retry is acked before a restart settles what the log holds.
+		return 0, deduped, serr
+	}
 	if len(fresh) == 0 {
 		return 0, deduped, nil
-	}
-	if serr := ws.sync.wait(gen); serr != nil {
-		// The fsync failed: durability is unknown, so refuse the ack. The
-		// marks stay — the record may well be on disk — and the client's
-		// retry will be deduplicated if it is.
-		return 0, deduped, serr
 	}
 	samples := make([]engine.Sample, len(fresh))
 	for i, ks := range fresh {
@@ -149,6 +187,36 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 	// failure is a closing engine; the batch is already durable, so replay
 	// applies it after restart and the client's retry dedups cleanly.
 	return accepted, deduped, err
+}
+
+// awaitDurable returns once an fsync covering the first n appended records
+// has completed, or with the store's poisoning error. The first caller
+// that finds no fsync running leads one, dropping commitMu only around the
+// fsync so later appends queue behind it for the next. Called with
+// commitMu held.
+func (ws *walStore) awaitDurable(n uint64) error {
+	for ws.durable < n {
+		if ws.err != nil {
+			return ws.err
+		}
+		if ws.syncing {
+			ws.synced.Wait()
+			continue
+		}
+		ws.syncing = true
+		target := ws.appended
+		ws.commitMu.Unlock()
+		err := ws.wal.Sync()
+		ws.commitMu.Lock()
+		ws.syncing = false
+		if err != nil {
+			ws.err = err
+		} else {
+			ws.durable = target
+		}
+		ws.synced.Broadcast()
+	}
+	return nil
 }
 
 // replay feeds the records recovered at open through the normal engine
@@ -197,11 +265,17 @@ func (ws *walStore) truncate() error { return ws.wal.Reset() }
 // sample is reflected in predictor state, the snapshot (including the
 // idempotency table) is written atomically, and only then is the WAL
 // reset: an acked sample is durably in the snapshot or the WAL at every
-// instant, never neither.
+// instant, never neither. A poisoned store takes no snapshot: its table
+// holds marks for records whose samples never reached the engine, and the
+// reset would discard the only copy of those records.
 func (ws *walStore) snapshot(st *snapStore, eng *engine.Engine, cache *server.ResultCache,
 	hist *server.HistoryStore) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	// No commit runs under the exclusive lock, so err is stable here.
+	if ws.err != nil {
+		return fmt.Errorf("WAL failed, snapshot skipped until restart: %w", ws.err)
+	}
 	eng.Drain()
 	if err := st.save(eng, cache, hist, ws.dedup); err != nil {
 		return err
@@ -209,93 +283,8 @@ func (ws *walStore) snapshot(st *snapStore, eng *engine.Engine, cache *server.Re
 	return ws.truncate()
 }
 
-// close stops the syncer and closes the log.
-func (ws *walStore) close() error {
-	ws.sync.close()
-	return ws.wal.Close()
-}
-
-// ---- group-commit syncer ----
-
-// groupSyncer batches fsyncs: appenders note their append and wait; one
-// background fsync, at most every interval, covers every append noted
-// before it ran. This keeps the per-ack cost at one fsync per commit window
-// rather than one per request.
-type groupSyncer struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	syncFn   func() error
-	interval time.Duration
-
-	appended uint64 // generation of the newest append
-	synced   uint64 // generation covered by the last completed fsync
-	err      error  // outcome of the last fsync
-	closed   bool
-}
-
-func newGroupSyncer(syncFn func() error, interval time.Duration) *groupSyncer {
-	g := &groupSyncer{syncFn: syncFn, interval: interval}
-	g.cond = sync.NewCond(&g.mu)
-	go g.run()
-	return g
-}
-
-// noteAppend registers an append and returns its generation for wait.
-func (g *groupSyncer) noteAppend() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.appended++
-	gen := g.appended
-	g.cond.Broadcast()
-	return gen
-}
-
-// wait blocks until an fsync covering gen has completed and returns its
-// outcome.
-func (g *groupSyncer) wait(gen uint64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.synced < gen && !g.closed {
-		g.cond.Wait()
-	}
-	if g.synced < gen {
-		return errors.New("predictd: WAL syncer closed")
-	}
-	return g.err
-}
-
-func (g *groupSyncer) run() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		for g.appended == g.synced && !g.closed {
-			g.cond.Wait()
-		}
-		if g.closed {
-			return
-		}
-		if g.interval > 0 {
-			// Let the commit window fill so one fsync covers more acks.
-			g.mu.Unlock()
-			time.Sleep(g.interval)
-			g.mu.Lock()
-		}
-		target := g.appended
-		g.mu.Unlock()
-		err := g.syncFn()
-		g.mu.Lock()
-		g.synced = target
-		g.err = err
-		g.cond.Broadcast()
-	}
-}
-
-func (g *groupSyncer) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
+// close syncs and closes the log.
+func (ws *walStore) close() error { return ws.wal.Close() }
 
 // ---- WAL record codec ----
 

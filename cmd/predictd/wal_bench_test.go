@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/server"
@@ -27,7 +26,7 @@ func BenchmarkIngestWAL(b *testing.B) {
 			var ws *walStore
 			if mode == "wal" {
 				var err error
-				ws, err = openWALStore(b.TempDir(), time.Millisecond, nil, io.Discard)
+				ws, err = openWALStore(b.TempDir(), nil, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}

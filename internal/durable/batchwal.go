@@ -21,14 +21,19 @@ var batchWALMagic = [8]byte{'L', 'A', 'R', 'P', 'B', 'W', 'L', '1'}
 // itself was corrupted. Callers should quarantine it and start a fresh log.
 var ErrWALFormat = errors.New("durable: unrecognized WAL format")
 
+// ErrRecordTooLarge is returned by Append for a payload over the record cap.
+// Nothing is written, so the log stays usable.
+var ErrRecordTooLarge = errors.New("durable: batch WAL record too large")
+
 // maxBatchRecord caps a single record's payload. A length field larger than
 // this is treated as corruption rather than an allocation request.
 const maxBatchRecord = 16 << 20
 
 // BatchWAL is an append-only log of opaque batch payloads. Appends are
-// buffered by the OS; Sync makes everything appended so far durable. Not
-// safe for concurrent use — callers serialize appends (predictd holds its
-// commit lock across Append).
+// buffered by the OS; Sync makes everything appended so far durable. Callers
+// serialize Append, TruncateRecords and Reset (predictd holds its commit
+// lock across Append); Sync may run concurrently with Append, and covers at
+// least every record whose Append returned before it was called.
 type BatchWAL struct {
 	f    *os.File
 	path string
@@ -115,10 +120,13 @@ func (w *BatchWAL) Records() int { return len(w.ends) }
 // Append writes one record. The record is durable only after the next Sync.
 func (w *BatchWAL) Append(payload []byte) error {
 	if len(payload) > maxBatchRecord {
-		return fmt.Errorf("durable: batch WAL record %d bytes exceeds %d", len(payload), maxBatchRecord)
+		return fmt.Errorf("%w: %d bytes exceeds %d", ErrRecordTooLarge, len(payload), maxBatchRecord)
 	}
-	// A short write here leaves a torn tail; the next open truncates it, so
-	// the record is simply not committed.
+	// A short write here leaves torn bytes at the end of the file. Records
+	// appended after them are unreachable: the next open stops at the first
+	// bad checksum and truncates everything from there. So after a failed
+	// Append the caller must append nothing more until it has reopened the
+	// log.
 	w.scratch = AppendRecord(w.scratch[:0], payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
 		return fmt.Errorf("durable: append batch WAL record: %w", err)

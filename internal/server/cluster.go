@@ -34,12 +34,6 @@ const (
 	// NodeHeader names the node that served the response; purely
 	// diagnostic.
 	NodeHeader = "X-Predictd-Node"
-
-	// ReasonForward marks a 503 caused by a failed forward to the stream's
-	// owner: the batch was not fully acked, so the client must retry (its
-	// idempotency keys make the retry safe; by then failover may have
-	// elected a reachable owner).
-	ReasonForward = "forward"
 )
 
 // ReadRole says how this node should serve a forecast read for a stream.

@@ -1,6 +1,9 @@
 package server
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // dedupWindow is how many sequence numbers behind a source's highest applied
 // seq the table still distinguishes "applied" from "never seen". Anything at
@@ -27,11 +30,14 @@ type Dedup struct {
 }
 
 // seqWindow is one (stream, source) pair's applied-seq set: everything at or
-// below Floor is applied; seqs above Floor are applied iff present in Seqs.
+// below floor is applied; seqs above floor are applied iff present in seqs.
+// seqs is ascending and duplicate-free — 8 bytes a key, where a map spends
+// about 21 — and clients number their samples in order, so Apply's common
+// case is an append.
 type seqWindow struct {
 	floor uint64
 	max   uint64
-	seqs  map[uint64]struct{}
+	seqs  []uint64
 }
 
 // NewDedup returns an empty table.
@@ -55,16 +61,21 @@ func (d *Dedup) Apply(stream, source string, seq uint64) bool {
 	}
 	w, ok := sources[source]
 	if !ok {
-		w = &seqWindow{seqs: map[uint64]struct{}{}}
+		w = &seqWindow{}
 		sources[source] = w
 	}
 	if seq <= w.floor {
 		return false
 	}
-	if _, dup := w.seqs[seq]; dup {
-		return false
+	if n := len(w.seqs); n == 0 || seq > w.seqs[n-1] {
+		w.seqs = append(w.seqs, seq)
+	} else {
+		i, dup := slices.BinarySearch(w.seqs, seq)
+		if dup {
+			return false
+		}
+		w.seqs = slices.Insert(w.seqs, i, seq)
 	}
-	w.seqs[seq] = struct{}{}
 	if seq > w.max {
 		w.max = seq
 	}
@@ -86,10 +97,11 @@ func (d *Dedup) Revert(stream, source string, seq uint64) {
 	if w == nil || seq <= w.floor {
 		return
 	}
-	if _, ok := w.seqs[seq]; !ok {
+	i, ok := slices.BinarySearch(w.seqs, seq)
+	if !ok {
 		return
 	}
-	delete(w.seqs, seq)
+	w.seqs = slices.Delete(w.seqs, i, i+1)
 	d.applied[stream]--
 }
 
@@ -100,14 +112,27 @@ func (w *seqWindow) compact() {
 		return
 	}
 	newFloor := w.max - dedupWindow
-	for s := range w.seqs {
-		if s <= newFloor {
-			delete(w.seqs, s)
-		}
-	}
+	i, _ := slices.BinarySearch(w.seqs, newFloor+1)
+	w.seqs = slices.Delete(w.seqs, 0, i)
 	if newFloor > w.floor {
 		w.floor = newFloor
 	}
+}
+
+// exported returns the window in exported form, its Seqs a fresh ascending
+// slice.
+func (w *seqWindow) exported() SourceWindow {
+	return SourceWindow{Floor: w.floor, Max: w.max, Seqs: append(make([]uint64, 0, len(w.seqs)), w.seqs...)}
+}
+
+// normalizeSeqs sorts seqs in place, drops duplicates and every seq at or
+// below floor, and returns the result: the form every imported window is
+// brought to (see SourceWindow).
+func normalizeSeqs(seqs []uint64, floor uint64) []uint64 {
+	slices.Sort(seqs)
+	seqs = slices.Compact(seqs)
+	i, _ := slices.BinarySearch(seqs, floor+1)
+	return slices.Delete(seqs, 0, i)
 }
 
 // Applied returns the stream's cumulative count of applied keyed samples.
@@ -129,7 +154,10 @@ type DedupState struct {
 	Applied map[string]uint64
 }
 
-// SourceWindow is one (stream, source) window in exported form.
+// SourceWindow is one (stream, source) window in exported form. Seqs are
+// the explicit applied seqs above Floor, exported ascending; Restore and
+// MergeStream accept them in any order and with duplicates, as tables
+// that kept them in a map wrote them.
 type SourceWindow struct {
 	Floor, Max uint64
 	Seqs       []uint64
@@ -146,11 +174,7 @@ func (d *Dedup) State() DedupState {
 	for stream, sources := range d.streams {
 		out := make(map[string]SourceWindow, len(sources))
 		for source, w := range sources {
-			sw := SourceWindow{Floor: w.floor, Max: w.max, Seqs: make([]uint64, 0, len(w.seqs))}
-			for s := range w.seqs {
-				sw.Seqs = append(sw.Seqs, s)
-			}
-			out[source] = sw
+			out[source] = w.exported()
 		}
 		st.Streams[stream] = out
 	}
@@ -173,11 +197,7 @@ func (d *Dedup) StreamState(stream string) (windows map[string]SourceWindow, app
 	}
 	windows = make(map[string]SourceWindow, len(sources))
 	for source, w := range sources {
-		sw := SourceWindow{Floor: w.floor, Max: w.max, Seqs: make([]uint64, 0, len(w.seqs))}
-		for s := range w.seqs {
-			sw.Seqs = append(sw.Seqs, s)
-		}
-		windows[source] = sw
+		windows[source] = w.exported()
 	}
 	return windows, applied, true
 }
@@ -206,7 +226,7 @@ func (d *Dedup) MergeStream(stream string, windows map[string]SourceWindow) {
 	for source, sw := range windows {
 		w, ok := sources[source]
 		if !ok {
-			w = &seqWindow{seqs: map[uint64]struct{}{}}
+			w = &seqWindow{}
 			sources[source] = w
 		}
 		if sw.Floor > w.floor {
@@ -215,16 +235,7 @@ func (d *Dedup) MergeStream(stream string, windows map[string]SourceWindow) {
 		if sw.Max > w.max {
 			w.max = sw.Max
 		}
-		for _, s := range sw.Seqs {
-			if s > w.floor {
-				w.seqs[s] = struct{}{}
-			}
-		}
-		for s := range w.seqs {
-			if s <= w.floor {
-				delete(w.seqs, s)
-			}
-		}
+		w.seqs = normalizeSeqs(append(w.seqs, sw.Seqs...), w.floor)
 	}
 	var applied uint64
 	for _, w := range sources {
@@ -242,13 +253,8 @@ func (d *Dedup) Restore(st DedupState) {
 	for stream, sources := range st.Streams {
 		in := map[string]*seqWindow{}
 		for source, sw := range sources {
-			w := &seqWindow{floor: sw.Floor, max: sw.Max, seqs: make(map[uint64]struct{}, len(sw.Seqs))}
-			for _, s := range sw.Seqs {
-				if s > w.floor {
-					w.seqs[s] = struct{}{}
-				}
-			}
-			in[source] = w
+			in[source] = &seqWindow{floor: sw.Floor, max: sw.Max,
+				seqs: normalizeSeqs(slices.Clone(sw.Seqs), sw.Floor)}
 		}
 		d.streams[stream] = in
 	}

@@ -7,9 +7,8 @@ import "net/http"
 //	{"error": {"code": "backlog", "message": "ingest backlog"}}
 //
 // Code is the stable machine-readable contract — clients branch on it;
-// Message is human-oriented and free to change. The X-Predictd-Reason
-// header duplicates the 503 cause for one more release while clients
-// migrate to the body codes; new clients should key on Error.Code.
+// Message is human-oriented and free to change. A 503's code is its cause:
+// draining, shed, timeout or forward_failed.
 const (
 	// CodeBadRequest — malformed JSON, unknown fields, or an unparsable
 	// query parameter.
@@ -35,17 +34,16 @@ const (
 	// the Retry-After hint.
 	CodeBacklog = "backlog"
 	// CodeDraining — the server is shutting down or the engine is closed
-	// (503, reason "drain"); retry against a healthy replica.
+	// (503); retry against a healthy replica.
 	CodeDraining = "draining"
 	// CodeShed — admission control rejected the request before any work
-	// (503, reason "shed").
+	// (503); retry after backoff.
 	CodeShed = "shed"
-	// CodeTimeout — the server-side deadline fired mid-request (503, reason
-	// "timeout"); the work may still complete, so only keyed retries are
-	// safe.
+	// CodeTimeout — the server-side deadline fired mid-request (503); the
+	// work may still complete, so only keyed retries are safe.
 	CodeTimeout = "timeout"
 	// CodeForwardFailed — a cluster forward to the stream's owner failed
-	// (503, reason "forward"); the whole-batch retry is safe under keys.
+	// (503); the whole-batch retry is safe under keys.
 	CodeForwardFailed = "forward_failed"
 	// CodeInternal — an unclassified server-side failure.
 	CodeInternal = "internal"

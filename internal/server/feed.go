@@ -221,7 +221,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	sub, ok := s.feed.subscribe(streams, 256)
 	if !ok {
-		w.Header().Set(ReasonHeader, ReasonDrain)
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}

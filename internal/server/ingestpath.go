@@ -18,13 +18,13 @@ import (
 
 // ErrDraining reports that the server is refusing ingest because it is
 // shutting down (or its engine is closed). The HTTP path maps it to 503 +
-// ReasonDrain; the binary path to StatusDraining. Retryable elsewhere.
+// CodeDraining; the binary path to StatusDraining. Retryable elsewhere.
 var ErrDraining = errors.New("server: draining")
 
 // ErrForwardFailed reports that a cluster owner-forward failed mid-batch.
 // The outcome carries what the owners that did respond accepted; the client
 // retries the whole batch and its keys dedup the part that landed. The HTTP
-// path maps it to 503 + ReasonForward.
+// path maps it to 503 + CodeForwardFailed.
 var ErrForwardFailed = errors.New("forward to stream owner failed")
 
 // IngestOutcome is the result of pushing one keyed batch through the shared

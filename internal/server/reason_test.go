@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,8 +12,18 @@ import (
 	"github.com/acis-lab/larpredictor/internal/engine"
 )
 
-// TestDrain503Reason checks the shutdown-path 503 carries reason "drain" and
-// its distinct body, on both ingest and the readiness probe.
+// errorCode returns the error envelope's code from a response body.
+func errorCode(t *testing.T, body []byte) string {
+	t.Helper()
+	var env ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("body %s is not an error envelope: %v", body, err)
+	}
+	return env.Error.Code
+}
+
+// TestDrain503Reason checks the shutdown-path 503 carries code "draining"
+// and its distinct body, on both ingest and the readiness probe.
 func TestDrain503Reason(t *testing.T) {
 	env := newTestServer(t, engine.Config{Shards: 1}, Config{})
 	env.srv.draining.Store(true)
@@ -21,8 +32,8 @@ func TestDrain503Reason(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining ingest = %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get(ReasonHeader); got != ReasonDrain {
-		t.Errorf("%s = %q, want %q", ReasonHeader, got, ReasonDrain)
+	if got := errorCode(t, body); got != CodeDraining {
+		t.Errorf("error code = %q, want %q", got, CodeDraining)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("drain 503 without Retry-After")
@@ -31,14 +42,19 @@ func TestDrain503Reason(t *testing.T) {
 		t.Errorf("drain body = %s, want mention of draining", body)
 	}
 
-	hresp := getJSON(t, env.ts.URL+"/healthz", nil)
-	if hresp.StatusCode != http.StatusServiceUnavailable || hresp.Header.Get(ReasonHeader) != ReasonDrain {
-		t.Errorf("healthz during drain: status %d reason %q", hresp.StatusCode, hresp.Header.Get(ReasonHeader))
+	hresp, err := http.Get(env.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hbody, _ := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusServiceUnavailable || errorCode(t, hbody) != CodeDraining {
+		t.Errorf("healthz during drain: status %d body %s, want 503 with code %q", hresp.StatusCode, hbody, CodeDraining)
 	}
 }
 
 // TestShed503Reason pins the lone in-flight slot on a blocked ingest and
-// checks the admission-control 503 carries reason "shed".
+// checks the admission-control 503 carries code "shed".
 func TestShed503Reason(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
@@ -77,8 +93,8 @@ func TestShed503Reason(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status = %d, want 503: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(ReasonHeader); got != ReasonShed {
-		t.Errorf("%s = %q, want %q", ReasonHeader, got, ReasonShed)
+	if got := errorCode(t, body); got != CodeShed {
+		t.Errorf("error code = %q, want %q", got, CodeShed)
 	}
 	if !strings.Contains(string(body), "capacity") {
 		t.Errorf("shed body = %s, want mention of capacity", body)
@@ -91,7 +107,7 @@ func TestShed503Reason(t *testing.T) {
 }
 
 // TestTimeout503Reason parks an ingest on a full Block-policy queue and
-// checks the deadline 503 carries reason "timeout" and its distinct body.
+// checks the deadline 503 carries code "timeout".
 func TestTimeout503Reason(t *testing.T) {
 	gate := make(chan struct{})
 	env := newTestServer(t, engine.Config{
@@ -113,8 +129,8 @@ func TestTimeout503Reason(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out ingest = %d, want 503: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(ReasonHeader); got != ReasonTimeout {
-		t.Errorf("%s = %q, want %q", ReasonHeader, got, ReasonTimeout)
+	if got := errorCode(t, body); got != CodeTimeout {
+		t.Errorf("error code = %q, want %q", got, CodeTimeout)
 	}
 	if !strings.Contains(string(body), "timed out") {
 		t.Errorf("timeout body = %s, want mention of timing out", body)

@@ -38,24 +38,6 @@ import (
 	"github.com/acis-lab/larpredictor/internal/obs"
 )
 
-// The three causes of a 503 are distinguished for retrying clients by the
-// X-Predictd-Reason header (and distinct bodies): "drain" — the server is
-// shutting down or the engine is closed, retry against a healthy replica;
-// "shed" — admission control rejected the request before any work, retry
-// after backoff; "timeout" — the per-request deadline fired mid-flight, so
-// the work may still complete server-side (hedge-worthy: an idempotent
-// retry is safe, a blind one may double-apply without keys).
-const (
-	// ReasonHeader names the response header carrying the 503 cause.
-	ReasonHeader = "X-Predictd-Reason"
-	// ReasonDrain marks a shutdown-path rejection.
-	ReasonDrain = "drain"
-	// ReasonShed marks an admission-control rejection.
-	ReasonShed = "shed"
-	// ReasonTimeout marks a request cut off by the server-side deadline.
-	ReasonTimeout = "timeout"
-)
-
 // KeyedSample is one decoded ingest sample plus its client-assigned
 // idempotency key. Source "" (or Seq 0) means the sample is unkeyed and
 // bypasses deduplication.
@@ -304,7 +286,6 @@ func (s *Server) admit(next http.Handler) http.Handler {
 			defer func() { <-s.sem }()
 			next.ServeHTTP(w, r)
 		default:
-			w.Header().Set(ReasonHeader, ReasonShed)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, CodeShed, "server at capacity")
 		}
@@ -497,7 +478,6 @@ type HistoryResponse struct {
 // or the engine is closed.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set(ReasonHeader, ReasonDrain)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
@@ -559,11 +539,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(out.Err, ErrDraining):
 		// Draining began between the top-of-handler check and the apply.
-		w.Header().Set(ReasonHeader, ReasonDrain)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 	case errors.Is(out.Err, ErrForwardFailed):
-		w.Header().Set(ReasonHeader, ReasonForward)
 		w.Header().Set("Retry-After", "1")
 		resp.Error = &ErrorBody{Code: CodeForwardFailed, Message: out.Err.Error()}
 		writeJSON(w, http.StatusServiceUnavailable, resp)
@@ -575,7 +553,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, resp)
 	case errors.Is(out.Err, engine.ErrClosed):
 		resp.Error = &ErrorBody{Code: CodeDraining, Message: "engine closed"}
-		w.Header().Set(ReasonHeader, ReasonDrain)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 	default:
@@ -962,9 +939,9 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 // drain sequence has begun so load balancers stop routing here.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set(ReasonHeader, ReasonDrain)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
+		// Enveloped like every other 503, so a retrying client labels it
+		// by its code.
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}
 	fmt.Fprintln(w, "ok")

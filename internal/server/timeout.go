@@ -8,10 +8,10 @@ import (
 )
 
 // withTimeout bounds each /v1 request. It replaces http.TimeoutHandler so
-// the timeout response can carry the X-Predictd-Reason header the client's
-// retry policy keys on: a timed-out request answers 503 with reason
-// "timeout" (hedge-worthy — the work may still complete server-side),
-// distinct from the "drain" and "shed" 503s.
+// a timed-out request answers the JSON error envelope with code "timeout"
+// and a Retry-After the client's retry policy keys on (hedge-worthy — the
+// work may still complete server-side), distinct from the "draining" and
+// "shed" 503s.
 //
 // The inner handler runs in its own goroutine against a buffering response
 // writer; whichever side finishes first owns the real ResponseWriter. An
@@ -50,7 +50,6 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 				bw.flushTo(w)
 				return
 			}
-			w.Header().Set(ReasonHeader, ReasonTimeout)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, CodeTimeout, "request timed out")
 		}
