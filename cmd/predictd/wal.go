@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"path/filepath"
 	"sync"
 
@@ -146,7 +147,17 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 		fresh = append(fresh, ks)
 	}
 	if len(fresh) > 0 {
-		if aerr := ws.wal.Append(encodeWALBatch(fresh)); aerr != nil {
+		// The record's size is known before it is built, so an oversized
+		// batch is refused without allocating it: the source repeats in
+		// every sample, so a record can be far larger than its request.
+		var aerr error
+		if walBatchSize(fresh) > durable.MaxBatchRecord {
+			aerr = fmt.Errorf("%w: batch of %d samples exceeds %d bytes",
+				durable.ErrRecordTooLarge, len(fresh), durable.MaxBatchRecord)
+		} else {
+			aerr = ws.wal.Append(encodeWALBatch(fresh))
+		}
+		if aerr != nil {
 			// The batch did not commit: withdraw the marks so its keys stay
 			// unapplied.
 			for _, ks := range fresh {
@@ -298,8 +309,31 @@ const walBatchVersion = 1
 // record is not ours even though the checksum verified.
 const maxWALBatchSamples = 1 << 20
 
+// walBatchSize returns the encoded size of batch. It stops counting once
+// the size passes durable.MaxBatchRecord, so its result is exact only up
+// to the cap.
+func walBatchSize(batch []server.KeyedSample) int {
+	size := 1 + uvarintLen(uint64(len(batch)))
+	for _, ks := range batch {
+		size += uvarintLen(uint64(len(ks.ID))) + len(ks.ID) +
+			uvarintLen(zigzag(ks.TS)) + 8 +
+			uvarintLen(uint64(len(ks.Source))) + len(ks.Source) +
+			uvarintLen(ks.Seq)
+		if size > durable.MaxBatchRecord {
+			break
+		}
+	}
+	return size
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps v as binary.AppendVarint does before its uvarint encoding.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
 func encodeWALBatch(batch []server.KeyedSample) []byte {
-	buf := make([]byte, 0, 1+10+len(batch)*32)
+	buf := make([]byte, 0, walBatchSize(batch))
 	buf = append(buf, walBatchVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, ks := range batch {

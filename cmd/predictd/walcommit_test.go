@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,5 +225,66 @@ func TestWALConcurrentCommitsShareFsyncs(t *testing.T) {
 	t.Logf("%d commits, %d fsyncs", workers*commits, n)
 	if n == 0 || n >= workers*commits {
 		t.Errorf("%d fsyncs for %d commits, want at least 1 and fewer than the commits", n, workers*commits)
+	}
+}
+
+// TestWALOversizedBatchRefusedBeforeEncoding: a batch whose record would
+// exceed durable.MaxBatchRecord — here because its long source repeats in
+// every sample — fails with ErrRecordTooLarge before the record is built,
+// so it allocates almost nothing; its keys stay unapplied and the store
+// stays usable.
+func TestWALOversizedBatchRefusedBeforeEncoding(t *testing.T) {
+	ws, hl, eng := newHookedStore(t)
+	var appends atomic.Int32
+	hl.appendHook = func() error {
+		appends.Add(1)
+		return nil
+	}
+	source := strings.Repeat("s", 4<<10)
+	batch := func(n int) []server.KeyedSample {
+		b := make([]server.KeyedSample, n)
+		for i := range b {
+			seq := uint64(i + 1)
+			b[i] = server.KeyedSample{Sample: engine.Sample{ID: "walcommit/big", TS: int64(seq), Value: 1},
+				Source: source, Seq: seq}
+		}
+		return b
+	}
+	big := batch(5000) // about 20 MB of record
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ws.ingest(eng, big)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, durable.ErrRecordTooLarge) {
+		t.Fatalf("oversized batch: err = %v, want ErrRecordTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing an oversized batch allocated %d bytes, want at most 1 MB", grew)
+	}
+	if a, d, err := ws.ingest(eng, batch(10)); err != nil || a != 10 || d != 0 {
+		t.Fatalf("same keys in a small batch: accepted %d, deduped %d, err %v; want 10 accepted", a, d, err)
+	}
+	if n := appends.Load(); n != 1 {
+		t.Errorf("%d appends attempted, want 1: the oversized record must not reach the log", n)
+	}
+}
+
+// TestWALBatchSizeMatchesEncoding: walBatchSize is the exact length of the
+// record encodeWALBatch builds.
+func TestWALBatchSizeMatchesEncoding(t *testing.T) {
+	batches := [][]server.KeyedSample{
+		nil,
+		keyedBatch("src", 1, 3),
+		{
+			{Sample: engine.Sample{ID: "a", TS: -1, Value: math.NaN()}},
+			{Sample: engine.Sample{ID: strings.Repeat("x", 200), TS: math.MinInt64, Value: -2},
+				Source: strings.Repeat("y", 130), Seq: math.MaxUint64},
+			{Sample: engine.Sample{ID: "b", TS: math.MaxInt64}, Source: "s", Seq: 1 << 35},
+		},
+	}
+	for i, b := range batches {
+		if got, want := walBatchSize(b), len(encodeWALBatch(b)); got != want {
+			t.Errorf("batch %d: walBatchSize = %d, encoded length %d", i, got, want)
+		}
 	}
 }

@@ -25,9 +25,10 @@ var ErrWALFormat = errors.New("durable: unrecognized WAL format")
 // Nothing is written, so the log stays usable.
 var ErrRecordTooLarge = errors.New("durable: batch WAL record too large")
 
-// maxBatchRecord caps a single record's payload. A length field larger than
-// this is treated as corruption rather than an allocation request.
-const maxBatchRecord = 16 << 20
+// MaxBatchRecord caps a single record's payload. Append refuses a larger
+// payload, and on open a length field larger than this is treated as
+// corruption rather than an allocation request.
+const MaxBatchRecord = 16 << 20
 
 // BatchWAL is an append-only log of opaque batch payloads. Appends are
 // buffered by the OS; Sync makes everything appended so far durable. Callers
@@ -46,7 +47,9 @@ type BatchWAL struct {
 }
 
 // OpenBatchWAL opens (or creates) a batch write-ahead log and returns its
-// intact record payloads in append order. A torn or corrupt tail is truncated
+// intact record payloads in append order, as sub-slices of the one buffer
+// the log was read into, so the log is held in memory once while the
+// caller keeps any of them. A torn or corrupt tail is truncated
 // away — the returned records are exactly what recovery may trust — and the
 // log is positioned for appending. truncated reports how many bytes of bad
 // tail were discarded. A file that does not start with the batch-WAL magic
@@ -80,18 +83,20 @@ func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err
 		err = fmt.Errorf("durable: %s: %w", path, ErrWALFormat)
 		return nil, nil, 0, err
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
+	data := make([]byte, info.Size()-int64(len(batchWALMagic)))
+	if _, err = io.ReadFull(f, data); err != nil {
 		return nil, nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
 	}
 	w = &BatchWAL{f: f, path: path}
 	good := 0
 	for {
-		payload, rest, ok := SplitRecord(data[good:], maxBatchRecord)
+		payload, rest, ok := SplitRecord(data[good:], MaxBatchRecord)
 		if !ok {
 			break
 		}
-		recs = append(recs, append([]byte(nil), payload...))
+		// Clipped capacity: an append to one record cannot overwrite the
+		// next.
+		recs = append(recs, payload[:len(payload):len(payload)])
 		good = len(data) - len(rest)
 		w.ends = append(w.ends, int64(len(batchWALMagic))+int64(good))
 	}
@@ -119,8 +124,8 @@ func (w *BatchWAL) Records() int { return len(w.ends) }
 
 // Append writes one record. The record is durable only after the next Sync.
 func (w *BatchWAL) Append(payload []byte) error {
-	if len(payload) > maxBatchRecord {
-		return fmt.Errorf("%w: %d bytes exceeds %d", ErrRecordTooLarge, len(payload), maxBatchRecord)
+	if len(payload) > MaxBatchRecord {
+		return fmt.Errorf("%w: %d bytes exceeds %d", ErrRecordTooLarge, len(payload), MaxBatchRecord)
 	}
 	// A short write here leaves torn bytes at the end of the file. Records
 	// appended after them are unreachable: the next open stops at the first
