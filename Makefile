@@ -117,7 +117,7 @@ bench:
 # benchguard's. CI's bench-regression job drives this against the merge
 # base with:
 #
-#   GUARD_BENCH='BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore'
+#   GUARD_BENCH='BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore|BenchmarkLARTrain'
 #   git checkout <base> && make bench-baseline BENCH="$GUARD_BENCH"
 #   git checkout <head> && make bench          BENCH="$GUARD_BENCH"
 #   make bench-guard

@@ -484,3 +484,21 @@ func BenchmarkForecastPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLARTrain measures one training pass at predictd's defaults: a
+// 60-sample series, window 5, PCA to 2 components, 3-NN over the paper pool.
+// predictd runs it on the shard worker at warm-up and on every retrain.
+func BenchmarkLARTrain(b *testing.B) {
+	train := benchTrace(b)[:60]
+	lar, err := larpredictor.New(larpredictor.DefaultConfig(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := lar.Train(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -63,7 +63,6 @@ func main() {
 		stateDir   = flag.String("state", "", "state directory for durable snapshots; empty runs stateless")
 		snapEvery  = flag.Duration("snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
 		durability = flag.String("durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
-		_          = flag.Duration("wal-sync", 0, "deprecated and ignored: WAL group commit is paced by the fsync itself; removed in the next release")
 		inflight   = flag.Int("max-inflight", 256, "max concurrently served /v1 requests before shedding with 503")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout")
 		maxBody    = flag.Int64("max-body", 1<<20, "max ingest request body bytes")
@@ -80,11 +79,6 @@ func main() {
 		downAfter   = flag.Duration("down-after", 2*time.Second, "time a peer stays suspect before it is confirmed down")
 	)
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "wal-sync" {
-			fmt.Fprintln(os.Stderr, "predictd: -wal-sync is deprecated and ignored; it is removed in the next release")
-		}
-	})
 
 	opts := options{
 		listen:       *listen,

@@ -3,8 +3,11 @@
 //
 // Training phase (paper §6.1): the training series is normalized to zero
 // mean and unit variance, framed into windows of the prediction order m, and
-// every expert in the pool runs in parallel on every window; the expert with
-// the smallest absolute prediction error becomes the window's class label.
+// every expert in the pool runs on every window; the expert with the
+// smallest absolute prediction error becomes the window's class label. The
+// paper runs the experts in parallel; Train runs them on the calling
+// goroutine, because its callers (predictd's shard workers) already run
+// streams in parallel.
 // The windows are projected to n principal components (n = 2 in the paper)
 // and indexed, with their labels, by a k-NN classifier.
 //
@@ -176,7 +179,7 @@ func (l *LARPredictor) TrainingLabels() []int {
 }
 
 // Train fits the LARPredictor on a raw (unnormalized) training series:
-// normalization, framing, parallel expert labeling, PCA fit, and k-NN
+// normalization, framing, expert labeling, PCA fit, and k-NN
 // indexing. It needs at least WindowSize+2 samples. Retraining replaces all
 // fitted state.
 func (l *LARPredictor) Train(train []float64) (err error) {
@@ -205,33 +208,35 @@ func (l *LARPredictor) Train(train []float64) (err error) {
 	norm := timeseries.FitNormalizer(train)
 	z := norm.Apply(train)
 
-	frames, err := timeseries.FrameSeries(z, m)
-	if err != nil {
-		return fmt.Errorf("core: frame training data: %w", err)
-	}
-	windows := timeseries.Windows(frames)
-	targets := timeseries.Targets(frames)
-
 	// Fit parametric experts (AR) on the normalized training series, then
-	// run the full pool in parallel to label every window.
+	// run the full pool on every window, in frame order, to label it with
+	// the expert of smallest absolute error (ties to the lower pool index,
+	// as Pool.Best) and to accumulate each expert's squared error. The
+	// windows are views into z; one predictions buffer serves every frame.
 	if err := l.pool.Fit(z); err != nil {
 		return fmt.Errorf("core: fit pool: %w", err)
 	}
-	labeled, err := l.pool.LabelParallel(windows, targets)
-	if err != nil {
-		return fmt.Errorf("core: label training frames: %w", err)
-	}
-	labels := make([]int, len(labeled))
+	windows := make([][]float64, len(z)-m)
+	labels := make([]int, len(windows))
 	rmse := make([]float64, l.pool.Size())
-	for i, r := range labeled {
-		labels[i] = r.Best
-		for j, p := range r.Predictions {
-			d := p - targets[i]
+	var preds []float64
+	for i := range windows {
+		windows[i] = z[i : i+m]
+		target := z[i+m]
+		if preds, err = l.pool.PredictAllInto(preds, windows[i]); err != nil {
+			return fmt.Errorf("core: label training frames: %w", err)
+		}
+		bestErr := math.Abs(preds[0] - target)
+		for j, p := range preds {
+			d := p - target
+			if e := math.Abs(d); e < bestErr {
+				labels[i], bestErr = j, e
+			}
 			rmse[j] += d * d
 		}
 	}
 	for j := range rmse {
-		rmse[j] = math.Sqrt(rmse[j] / float64(len(labeled)))
+		rmse[j] = math.Sqrt(rmse[j] / float64(len(windows)))
 	}
 
 	// Project the windows for classification.

@@ -50,6 +50,7 @@ func SymEigen(a *Matrix) (*EigenDecomposition, error) {
 	// Work on copies: s is rotated toward diagonal, v accumulates rotations.
 	s := a.Clone()
 	v := Identity(n)
+	sd := s.data
 
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		off := offDiagNorm(s)
@@ -58,8 +59,8 @@ func SymEigen(a *Matrix) (*EigenDecomposition, error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := s.At(p, q)
-				if math.Abs(apq) <= jacobiTol*math.Sqrt(math.Abs(s.At(p, p)*s.At(q, q))+jacobiTol) {
+				apq := sd[p*n+q]
+				if math.Abs(apq) <= jacobiTol*math.Sqrt(math.Abs(sd[p*n+p]*sd[q*n+q])+jacobiTol) {
 					continue
 				}
 				rotate(s, v, p, q)
@@ -74,12 +75,14 @@ func SymEigen(a *Matrix) (*EigenDecomposition, error) {
 }
 
 // rotate applies a single Jacobi rotation zeroing s[p][q], updating the
-// eigenvector accumulator v.
+// eigenvector accumulator v. Both are n×n; the loops index their row-major
+// backing slices directly.
 func rotate(s, v *Matrix, p, q int) {
-	n := s.Rows()
-	app := s.At(p, p)
-	aqq := s.At(q, q)
-	apq := s.At(p, q)
+	n := s.rows
+	sd, vd := s.data, v.data
+	app := sd[p*n+p]
+	aqq := sd[q*n+q]
+	apq := sd[p*n+q]
 
 	// Compute the rotation (c, s) following Golub & Van Loan 8.4.
 	theta := (aqq - app) / (2 * apq)
@@ -93,22 +96,22 @@ func rotate(s, v *Matrix, p, q int) {
 	sn := t * c
 
 	for k := 0; k < n; k++ {
-		skp := s.At(k, p)
-		skq := s.At(k, q)
-		s.Set(k, p, c*skp-sn*skq)
-		s.Set(k, q, sn*skp+c*skq)
+		row := sd[k*n : k*n+n]
+		skp, skq := row[p], row[q]
+		row[p] = c*skp - sn*skq
+		row[q] = sn*skp + c*skq
+	}
+	rp, rq := sd[p*n:p*n+n], sd[q*n:q*n+n]
+	for k := 0; k < n; k++ {
+		spk, sqk := rp[k], rq[k]
+		rp[k] = c*spk - sn*sqk
+		rq[k] = sn*spk + c*sqk
 	}
 	for k := 0; k < n; k++ {
-		spk := s.At(p, k)
-		sqk := s.At(q, k)
-		s.Set(p, k, c*spk-sn*sqk)
-		s.Set(q, k, sn*spk+c*sqk)
-	}
-	for k := 0; k < n; k++ {
-		vkp := v.At(k, p)
-		vkq := v.At(k, q)
-		v.Set(k, p, c*vkp-sn*vkq)
-		v.Set(k, q, sn*vkp+c*vkq)
+		row := vd[k*n : k*n+n]
+		vkp, vkq := row[p], row[q]
+		row[p] = c*vkp - sn*vkq
+		row[q] = sn*vkp + c*vkq
 	}
 }
 
@@ -153,13 +156,12 @@ func assembleEigen(s, v *Matrix) *EigenDecomposition {
 
 func offDiagNorm(m *Matrix) float64 {
 	var s float64
-	n := m.Rows()
+	n := m.rows
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		for j, v := range m.data[i*n : i*n+n] {
 			if i == j {
 				continue
 			}
-			v := m.At(i, j)
 			s += v * v
 		}
 	}

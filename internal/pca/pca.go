@@ -127,11 +127,8 @@ func FitBackend(rows [][]float64, sel Selection, backend Backend) (*PCA, error) 
 	}
 
 	comps := linalg.NewMatrix(d, k)
-	for c := 0; c < k; c++ {
-		col := ed.Vectors.Col(c)
-		for r := 0; r < d; r++ {
-			comps.Set(r, c, col[r])
-		}
+	for r := 0; r < d; r++ {
+		copy(comps.Row(r), ed.Vectors.Row(r)[:k])
 	}
 	return &PCA{
 		fitted:  true,
@@ -251,10 +248,12 @@ func (p *PCA) TransformInto(dst, row []float64) ([]float64, error) {
 }
 
 // TransformAll projects each row, returning a new slice of projected rows.
+// The projections share one backing array, each row capped at its own end.
 func (p *PCA) TransformAll(rows [][]float64) ([][]float64, error) {
 	out := make([][]float64, len(rows))
+	flat := make([]float64, len(rows)*p.kept)
 	for i, r := range rows {
-		t, err := p.Transform(r)
+		t, err := p.TransformInto(flat[i*p.kept:(i+1)*p.kept:(i+1)*p.kept], r)
 		if err != nil {
 			return nil, fmt.Errorf("pca: row %d: %w", i, err)
 		}

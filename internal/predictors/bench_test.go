@@ -61,23 +61,3 @@ func BenchmarkPoolPredictAll(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkLabelParallel(b *testing.B) {
-	train := benchSeries(288)
-	pool := buildPool(b, 5, TierPaper)
-	if err := pool.Fit(train); err != nil {
-		b.Fatal(err)
-	}
-	var windows [][]float64
-	var targets []float64
-	for i := 0; i+5 < len(train); i++ {
-		windows = append(windows, train[i:i+5])
-		targets = append(targets, train[i+5])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pool.LabelParallel(windows, targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -17,7 +17,6 @@ package predictors
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -169,10 +168,9 @@ func (p *Pool) Fit(train []float64) error {
 }
 
 // PredictAll runs every expert on the window and returns their predictions
-// in pool order. This is the training-phase "run all prediction models in
-// parallel" step; for the small pools here the experts run sequentially
-// within one window and callers parallelize across windows instead (see
-// LabelParallel), which has far better granularity.
+// in pool order. This is the training phase's "run all prediction models in
+// parallel" step; for the small pools here the experts run sequentially, and
+// parallelism comes from running many windows or streams at once.
 func (p *Pool) PredictAll(window []float64) ([]float64, error) {
 	return p.PredictAllInto(nil, window)
 }
@@ -222,60 +220,6 @@ func absErr(pred, obs float64) float64 {
 		return -d
 	}
 	return d
-}
-
-// LabelResult carries the per-window labeling produced by the training
-// phase: the best expert's index and every expert's prediction.
-type LabelResult struct {
-	Best        int
-	Predictions []float64
-}
-
-// LabelParallel labels every (window, target) pair with its best expert,
-// fanning the windows out over min(GOMAXPROCS, len(windows)) workers. It is
-// the parallel mix-of-experts pass of the training phase.
-func (p *Pool) LabelParallel(windows [][]float64, targets []float64) ([]LabelResult, error) {
-	if len(windows) != len(targets) {
-		return nil, fmt.Errorf("predictors: %d windows but %d targets", len(windows), len(targets))
-	}
-	results := make([]LabelResult, len(windows))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(windows) {
-		workers = len(windows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				best, preds, err := p.Best(windows[i], targets[i])
-				if err != nil {
-					errOnce.Do(func() { firstEr = err })
-					continue
-				}
-				results[i] = LabelResult{Best: best, Predictions: preds}
-			}
-		}()
-	}
-	for i := range windows {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	return results, nil
 }
 
 func init() {

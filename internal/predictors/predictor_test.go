@@ -131,56 +131,6 @@ func TestPoolBestTieBreaksLow(t *testing.T) {
 	}
 }
 
-func TestLabelParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	train := make([]float64, 300)
-	for i := 1; i < len(train); i++ {
-		train[i] = 0.7*train[i-1] + rng.NormFloat64()
-	}
-	pool := buildPool(t, 5, TierPaper)
-	if err := pool.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	var windows [][]float64
-	var targets []float64
-	for i := 0; i+5 < len(train); i++ {
-		windows = append(windows, train[i:i+5])
-		targets = append(targets, train[i+5])
-	}
-	par, err := pool.LabelParallel(windows, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range windows {
-		best, preds, err := pool.Best(windows[i], targets[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par[i].Best != best {
-			t.Fatalf("window %d: parallel best %d != sequential %d", i, par[i].Best, best)
-		}
-		for j := range preds {
-			if par[i].Predictions[j] != preds[j] {
-				t.Fatalf("window %d: prediction mismatch", i)
-			}
-		}
-	}
-}
-
-func TestLabelParallelErrors(t *testing.T) {
-	pool := buildPool(t, 3, TierPaper)
-	if err := pool.Fit([]float64{1, 2, 3, 4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.LabelParallel([][]float64{{1, 2, 3}}, []float64{1, 2}); err == nil {
-		t.Error("accepted mismatched windows/targets")
-	}
-	// Window shorter than pool order propagates the predictor error.
-	if _, err := pool.LabelParallel([][]float64{{1}}, []float64{1}); err == nil {
-		t.Error("accepted unframeable window")
-	}
-}
-
 func TestPredictorsDeterministicProperty(t *testing.T) {
 	// Every predictor must be a pure function of (fit data, window).
 	train := make([]float64, 64)

@@ -32,10 +32,18 @@ type Snapshot struct {
 
 // ResultCache holds the latest Snapshot per stream. The engine's shard
 // workers write it through Record (wired as Config.OnResult); HTTP handlers
-// read it lock-free. Per-stream updates are single-writer — one shard owns a
-// stream — so a plain atomic pointer swap per key suffices.
+// read it through Latest and Each. Each stream has one cell, a Snapshot
+// under its own mutex: Record updates the cell in place, so a step's
+// fan-out allocates nothing once the stream is known, and readers copy the
+// Snapshot out under the same lock, so they never see a half-written one.
 type ResultCache struct {
-	m sync.Map // stream id -> *Snapshot (immutable once stored)
+	m sync.Map // stream id -> *cell
+}
+
+// cell is one stream's Snapshot and the lock that guards it.
+type cell struct {
+	mu sync.Mutex
+	s  Snapshot
 }
 
 // NewResultCache returns an empty cache.
@@ -43,31 +51,39 @@ func NewResultCache() *ResultCache {
 	return &ResultCache{}
 }
 
+// cell returns the stream's cell, creating it on first use.
+func (c *ResultCache) cell(id string) *cell {
+	if v, ok := c.m.Load(id); ok {
+		return v.(*cell)
+	}
+	v, _ := c.m.LoadOrStore(id, new(cell))
+	return v.(*cell)
+}
+
 // Record folds one engine result into the stream's snapshot. It is safe to
 // wire directly as engine.Config.OnResult.
 func (c *ResultCache) Record(r engine.Result) {
-	next := Snapshot{
-		LastTS:    r.TS,
-		LastValue: r.Value,
-		Health:    r.Health,
-	}
-	if prev, ok := c.m.Load(r.ID); ok {
-		p := prev.(*Snapshot)
-		next.Pred, next.PredTS, next.HasPred = p.Pred, p.PredTS, p.HasPred
-	}
+	cl := c.cell(r.ID)
+	cl.mu.Lock()
+	s := &cl.s
+	s.LastTS, s.LastValue, s.Health = r.TS, r.Value, r.Health
 	if r.Err != nil {
-		next.LastErr = r.Err.Error()
+		s.LastErr = r.Err.Error()
 	} else {
-		next.Pred, next.PredTS, next.HasPred = r.Pred, r.TS, true
+		s.LastErr = ""
+		s.Pred, s.PredTS, s.HasPred = r.Pred, r.TS, true
 	}
-	c.m.Store(r.ID, &next)
+	cl.mu.Unlock()
 }
 
 // Restore primes a stream's snapshot, the warm-restart path: a restarted
 // predictd serves the previous run's latest forecasts before any new sample
 // arrives.
 func (c *ResultCache) Restore(id string, s Snapshot) {
-	c.m.Store(id, &s)
+	cl := c.cell(id)
+	cl.mu.Lock()
+	cl.s = s
+	cl.mu.Unlock()
 }
 
 // Latest returns the stream's snapshot.
@@ -76,13 +92,20 @@ func (c *ResultCache) Latest(id string) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
-	return *v.(*Snapshot), true
+	return v.(*cell).snapshot(), true
 }
 
 // Each calls f for every cached stream. Iteration order is unspecified.
 func (c *ResultCache) Each(f func(id string, s Snapshot)) {
 	c.m.Range(func(k, v any) bool {
-		f(k.(string), *v.(*Snapshot))
+		f(k.(string), v.(*cell).snapshot())
 		return true
 	})
+}
+
+// snapshot copies the cell's Snapshot under its lock.
+func (cl *cell) snapshot() Snapshot {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.s
 }

@@ -38,6 +38,11 @@ import (
 	"github.com/acis-lab/larpredictor/internal/obs"
 )
 
+// MaxSourceLen caps an ingest request's idempotency source, in bytes. Both
+// transports refuse a longer source before dedup and the WAL, which would
+// otherwise keep it in every dedup window and repeat it in every WAL sample.
+const MaxSourceLen = 255
+
 // KeyedSample is one decoded ingest sample plus its client-assigned
 // idempotency key. Source "" (or Seq 0) means the sample is unkeyed and
 // bypasses deduplication.
@@ -374,9 +379,10 @@ type IngestSample struct {
 }
 
 // IngestRequest carries one sample (inline fields) or a batch (Samples).
-// Setting both is allowed: the inline sample is ingested first. Source plus
-// per-sample Seq form idempotency keys; on a server running with WAL
-// durability, a retried keyed batch is applied exactly once.
+// Setting both is allowed: the inline sample is ingested first. Source (at
+// most MaxSourceLen bytes) plus per-sample Seq form idempotency keys; on a
+// server running with WAL durability, a retried keyed batch is applied
+// exactly once.
 type IngestRequest struct {
 	Stream  string         `json:"stream,omitempty"`
 	TS      int64          `json:"ts,omitempty"`
@@ -497,6 +503,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if len(req.Source) > MaxSourceLen {
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Sprintf("source exceeds %d bytes", MaxSourceLen))
+		return
+	}
 	batch := make([]KeyedSample, 0, len(req.Samples)+1)
 	if req.Stream != "" {
 		batch = append(batch, KeyedSample{

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"github.com/acis-lab/larpredictor/internal/engine"
@@ -31,6 +32,9 @@ var keyedPool = sync.Pool{
 // BinaryIngest adapts one decoded wire batch onto the shared ingest path.
 // Wire it as the wire.ServerConfig.Ingest callback.
 func (s *Server) BinaryIngest(source string, samples []wire.Sample) wire.Ack {
+	if len(source) > MaxSourceLen {
+		return wire.Ack{Status: wire.StatusInvalid, Msg: fmt.Sprintf("source exceeds %d bytes", MaxSourceLen)}
+	}
 	bp := keyedPool.Get().(*[]KeyedSample)
 	batch := *bp
 	if cap(batch) < len(samples) {
