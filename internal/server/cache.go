@@ -51,8 +51,8 @@ func NewResultCache() *ResultCache {
 	return &ResultCache{}
 }
 
-// cell returns the stream's cell, creating it on first use.
-func (c *ResultCache) cell(id string) *cell {
+// cellOf returns the stream's cell, creating it on first use.
+func (c *ResultCache) cellOf(id string) *cell {
 	if v, ok := c.m.Load(id); ok {
 		return v.(*cell)
 	}
@@ -63,7 +63,7 @@ func (c *ResultCache) cell(id string) *cell {
 // Record folds one engine result into the stream's snapshot. It is safe to
 // wire directly as engine.Config.OnResult.
 func (c *ResultCache) Record(r engine.Result) {
-	cl := c.cell(r.ID)
+	cl := c.cellOf(r.ID)
 	cl.mu.Lock()
 	s := &cl.s
 	s.LastTS, s.LastValue, s.Health = r.TS, r.Value, r.Health
@@ -80,7 +80,7 @@ func (c *ResultCache) Record(r engine.Result) {
 // predictd serves the previous run's latest forecasts before any new sample
 // arrives.
 func (c *ResultCache) Restore(id string, s Snapshot) {
-	cl := c.cell(id)
+	cl := c.cellOf(id)
 	cl.mu.Lock()
 	cl.s = s
 	cl.mu.Unlock()
