@@ -74,7 +74,10 @@ func refTrain(t *testing.T, cfg Config, pool *predictors.Pool, train []float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, targets := timeseries.Windows(frames), timeseries.Targets(frames)
+	windows, targets := make([][]float64, len(frames)), make([]float64, len(frames))
+	for i, f := range frames {
+		windows[i], targets[i] = f.Window, f.Target
+	}
 	if err := pool.Fit(z); err != nil {
 		t.Fatal(err)
 	}

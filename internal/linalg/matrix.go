@@ -199,53 +199,78 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 // ColumnMeans returns the mean of each column. For a 0-row matrix it returns
 // a zero vector of length Cols.
 func (m *Matrix) ColumnMeans() []float64 {
-	means := make([]float64, m.cols)
-	if m.rows == 0 {
-		return means
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	inv := 1 / float64(m.rows)
-	for j := range means {
-		means[j] *= inv
-	}
-	return means
+	return columnMeans(m.rowViews(), m.cols)
 }
 
 // Covariance returns the sample covariance matrix (cols×cols) of the rows of
 // m, using the unbiased 1/(n-1) normalization. It requires at least two rows.
 func (m *Matrix) Covariance() (*Matrix, error) {
-	if m.rows < 2 {
-		return nil, fmt.Errorf("linalg: Covariance needs >= 2 rows, have %d: %w", m.rows, ErrDimension)
+	_, cov, err := RowCovariance(m.rowViews())
+	return cov, err
+}
+
+func (m *Matrix) rowViews() [][]float64 {
+	rows := make([][]float64, m.rows)
+	for i := range rows {
+		rows[i] = m.data[i*m.cols : (i+1)*m.cols]
 	}
-	means := m.ColumnMeans()
-	cov := NewMatrix(m.cols, m.cols)
-	for r := 0; r < m.rows; r++ {
-		row := m.data[r*m.cols : (r+1)*m.cols]
-		for i := 0; i < m.cols; i++ {
+	return rows
+}
+
+// RowCovariance returns the column means and the sample covariance matrix
+// (unbiased 1/(n-1)) of equal-length rows, reading the rows in place rather
+// than copying them into a matrix. It requires at least two rows.
+func RowCovariance(rows [][]float64) ([]float64, *Matrix, error) {
+	if len(rows) < 2 {
+		return nil, nil, fmt.Errorf("linalg: covariance needs >= 2 rows, have %d: %w", len(rows), ErrDimension)
+	}
+	cols := len(rows[0])
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, nil, fmt.Errorf("linalg: covariance of ragged rows: row %d has %d cols, want %d: %w",
+				i, len(r), cols, ErrDimension)
+		}
+	}
+	means := columnMeans(rows, cols)
+	cov := NewMatrix(cols, cols)
+	for _, row := range rows {
+		for i := 0; i < cols; i++ {
 			di := row[i] - means[i]
 			if di == 0 {
 				continue
 			}
-			crow := cov.data[i*m.cols:]
-			for j := i; j < m.cols; j++ {
+			crow := cov.data[i*cols:]
+			for j := i; j < cols; j++ {
 				crow[j] += di * (row[j] - means[j])
 			}
 		}
 	}
-	inv := 1 / float64(m.rows-1)
-	for i := 0; i < m.cols; i++ {
-		for j := i; j < m.cols; j++ {
-			v := cov.data[i*m.cols+j] * inv
-			cov.data[i*m.cols+j] = v
-			cov.data[j*m.cols+i] = v
+	inv := 1 / float64(len(rows)-1)
+	for i := 0; i < cols; i++ {
+		for j := i; j < cols; j++ {
+			v := cov.data[i*cols+j] * inv
+			cov.data[i*cols+j] = v
+			cov.data[j*cols+i] = v
 		}
 	}
-	return cov, nil
+	return means, cov, nil
+}
+
+func columnMeans(rows [][]float64, cols int) []float64 {
+	means := make([]float64, cols)
+	if len(rows) == 0 {
+		return means
+	}
+	for _, row := range rows {
+		for j, v := range row {
+			means[j] += v
+		}
+	}
+	inv := 1 / float64(len(rows))
+	for j := range means {
+		means[j] *= inv
+	}
+	return means
 }
 
 // String renders the matrix for debugging.

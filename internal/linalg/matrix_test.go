@@ -222,6 +222,53 @@ func TestCovarianceTooFewRows(t *testing.T) {
 	}
 }
 
+// TestRowCovarianceMatchesMatrix checks that RowCovariance over row slices
+// (here overlapping windows of one series, as PCA training passes them)
+// returns exactly FromRows(rows).ColumnMeans() and .Covariance(), bit for bit.
+func TestRowCovarianceMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{2, 3, 55, 200} {
+		for _, d := range []int{1, 2, 5, 16} {
+			series := make([]float64, n+d)
+			for i := 1; i < len(series); i++ {
+				series[i] = 0.7*series[i-1] + rng.NormFloat64()
+				if i%9 == 0 {
+					series[i] = series[i-1] // exact zero deviations take the skip branch
+				}
+			}
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = series[i : i+d]
+			}
+			means, cov, err := RowCovariance(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := mustFromRows(t, rows)
+			wantCov, err := m.Covariance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range m.ColumnMeans() {
+				if math.Float64bits(means[i]) != math.Float64bits(w) {
+					t.Fatalf("n=%d d=%d: mean %d = %v, matrix %v", n, d, i, means[i], w)
+				}
+			}
+			for i, w := range wantCov.data {
+				if math.Float64bits(cov.data[i]) != math.Float64bits(w) {
+					t.Fatalf("n=%d d=%d: covariance element %d = %v, matrix %v", n, d, i, cov.data[i], w)
+				}
+			}
+		}
+	}
+	if _, _, err := RowCovariance([][]float64{{1, 2}}); !errors.Is(err, ErrDimension) {
+		t.Errorf("one row: err = %v, want ErrDimension", err)
+	}
+	if _, _, err := RowCovariance([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrDimension) {
+		t.Errorf("ragged rows: err = %v, want ErrDimension", err)
+	}
+}
+
 func TestIsSymmetric(t *testing.T) {
 	sym := mustFromRows(t, [][]float64{{1, 2}, {2, 3}})
 	if !sym.IsSymmetric(0) {

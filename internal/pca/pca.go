@@ -78,21 +78,17 @@ func Fit(rows [][]float64, sel Selection) (*PCA, error) {
 // iteration backend requires FixedComponents selection (it never computes
 // the full spectrum a variance-fraction rule needs).
 func FitBackend(rows [][]float64, sel Selection, backend Backend) (*PCA, error) {
-	x, err := linalg.FromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("pca: %w", err)
+	if len(rows) < 2 {
+		return nil, fmt.Errorf("pca: need >= 2 training rows, have %d: %w", len(rows), ErrBadInput)
 	}
-	if x.Rows() < 2 {
-		return nil, fmt.Errorf("pca: need >= 2 training rows, have %d: %w", x.Rows(), ErrBadInput)
-	}
-	if x.Cols() < 1 {
+	if len(rows[0]) < 1 {
 		return nil, fmt.Errorf("pca: zero-dimensional rows: %w", ErrBadInput)
 	}
-	cov, err := x.Covariance()
+	mean, cov, err := linalg.RowCovariance(rows)
 	if err != nil {
 		return nil, fmt.Errorf("pca: covariance: %w", err)
 	}
-	d := x.Cols()
+	d := len(mean)
 	var trace float64
 	for i := 0; i < d; i++ {
 		trace += cov.At(i, i)
@@ -132,7 +128,7 @@ func FitBackend(rows [][]float64, sel Selection, backend Backend) (*PCA, error) 
 	}
 	return &PCA{
 		fitted:  true,
-		mean:    x.ColumnMeans(),
+		mean:    mean,
 		comps:   comps,
 		eigvals: ed.Values,
 		totVar:  trace,

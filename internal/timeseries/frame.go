@@ -39,22 +39,3 @@ func FrameSeries(v []float64, m int) ([]Frame, error) {
 	}
 	return frames, nil
 }
-
-// Windows returns the frame windows as a row-per-window slice-of-slices,
-// the X'_{(u-m+1)×m} layout fed to the PCA processor.
-func Windows(frames []Frame) [][]float64 {
-	out := make([][]float64, len(frames))
-	for i, f := range frames {
-		out[i] = f.Window
-	}
-	return out
-}
-
-// Targets returns the frame targets in order.
-func Targets(frames []Frame) []float64 {
-	out := make([]float64, len(frames))
-	for i, f := range frames {
-		out[i] = f.Target
-	}
-	return out
-}

@@ -117,18 +117,3 @@ func TestFrameSeriesErrors(t *testing.T) {
 		t.Errorf("too-short series err = %v, want ErrShort", err)
 	}
 }
-
-func TestWindowsAndTargets(t *testing.T) {
-	frames, err := FrameSeries([]float64{0, 1, 2, 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Windows(frames)
-	tg := Targets(frames)
-	if len(w) != 2 || len(tg) != 2 {
-		t.Fatalf("windows %d targets %d, want 2/2", len(w), len(tg))
-	}
-	if tg[0] != 2 || tg[1] != 3 {
-		t.Fatalf("targets = %v", tg)
-	}
-}
