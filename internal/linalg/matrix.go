@@ -209,6 +209,7 @@ func (m *Matrix) Covariance() (*Matrix, error) {
 	return cov, err
 }
 
+// rowViews returns one slice per row of m, aliasing its data.
 func (m *Matrix) rowViews() [][]float64 {
 	rows := make([][]float64, m.rows)
 	for i := range rows {
@@ -256,6 +257,8 @@ func RowCovariance(rows [][]float64) ([]float64, *Matrix, error) {
 	return means, cov, nil
 }
 
+// columnMeans returns the mean of each of cols columns over rows (zeros for
+// no rows).
 func columnMeans(rows [][]float64, cols int) []float64 {
 	means := make([]float64, cols)
 	if len(rows) == 0 {
