@@ -26,7 +26,7 @@ fmt:
 # Run the fuzz targets' seed corpora as ordinary tests (no fuzzing engine;
 # deterministic and fast, so it belongs in ci).
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/rrd ./internal/preddb ./internal/durable ./internal/wire ./internal/tournament ./cmd/predictd
+	$(GO) test -run Fuzz ./internal/rrd ./internal/preddb ./internal/durable ./internal/wire ./internal/tournament ./internal/core ./internal/timeseries ./cmd/predictd
 
 # Short real fuzzing of the binary ingest protocol: corrupt frames,
 # truncation, and version skew must never panic or mis-ack. Go's fuzzer
@@ -112,7 +112,8 @@ bench:
 
 # Regression gate over bench-old.txt / bench-new.txt (see bench-baseline and
 # bench above): cmd/benchguard fails the build when any benchmark's median
-# time/op regresses more than 10% or its median allocs/op grows at all.
+# time/op regresses more than 10% or its median allocs/op rises above the
+# baseline's highest run (exactly "any growth" when the baseline runs agree).
 # benchstat, when installed, adds the statistician's view; the verdict is
 # benchguard's. CI's bench-regression job drives this against the merge
 # base with:

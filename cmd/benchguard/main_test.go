@@ -81,3 +81,31 @@ func TestMedian(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsGate: the median allocs/op may not rise above the baseline's
+// highest run. Agreeing baseline runs keep the gate exact, and a noisy
+// baseline's spread passes while one allocation per stream of a 5,000-stream
+// restore still fails.
+func TestAllocsGate(t *testing.T) {
+	cases := []struct {
+		name     string
+		old, new []float64
+		want     bool
+	}{
+		{"zero stays zero", []float64{0, 0, 0}, []float64{0, 0, 0}, false},
+		{"one new allocation", []float64{0, 0, 0}, []float64{1, 1, 0}, true},
+		{"exact count kept", []float64{12, 12, 12}, []float64{12, 12, 12}, false},
+		{"exact count grown", []float64{12, 12, 12}, []float64{12, 13, 13}, true},
+		{"above the median, within a noisy baseline", []float64{4969626, 4969697, 4969655, 4969678},
+			[]float64{4969690, 4969680, 4969675, 4969660}, false},
+		{"noisy baseline, fewer", []float64{4969626, 4969697}, []float64{4959650, 4959700}, false},
+		{"one per stream over a noisy baseline", []float64{4969626, 4969697, 4969655, 4969678},
+			[]float64{4974660, 4974640, 4974700, 4974650}, true},
+		{"median above the highest run", []float64{4969626, 4969697}, []float64{4969690, 4969700, 4969705}, true},
+	}
+	for _, c := range cases {
+		if got := allocsRegressed(c.old, c.new); got != c.want {
+			t.Errorf("%s: allocsRegressed(%v, %v) = %v, want %v", c.name, c.old, c.new, got, c.want)
+		}
+	}
+}

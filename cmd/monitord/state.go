@@ -49,9 +49,6 @@ const (
 // cleanup — exactly what a SIGKILL would leave behind.
 var errSimulatedCrash = errors.New("monitord: simulated crash")
 
-// Unreadable or checksum-failing pipe snapshots surface as durable.ErrFrame
-// from durable.ReadChecksummedFile; recover quarantines them.
-
 // manifest is the commit record of a snapshot.
 type manifest struct {
 	Clock       int64  `json:"clock"`
@@ -155,12 +152,15 @@ func (st *stateStore) snapshot(agent *monitor.Agent, db *preddb.DB, pipes []*pip
 			Predictions: p.predictions,
 			Online:      online.Bytes(),
 		}
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(&ps); err != nil {
-			return fmt.Errorf("snapshot %s: %w", pipeFile(p), err)
-		}
 		err := durable.WriteFileAtomic(st.pipePath(p), func(w io.Writer) error {
-			return durable.WriteChecksummed(w, pipeMagic, payload.Bytes())
+			fw, err := durable.NewFrameWriter(w, pipeMagic)
+			if err != nil {
+				return err
+			}
+			if err := gob.NewEncoder(fw).Encode(&ps); err != nil {
+				return err
+			}
+			return fw.Close()
 		})
 		if err != nil {
 			return fmt.Errorf("snapshot %s: %w", pipeFile(p), err)
@@ -243,7 +243,14 @@ func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipe
 
 	for _, p := range pipes {
 		path := st.pipePath(p)
-		payload, err := durable.ReadChecksummedFile(path, pipeMagic)
+		var ps pipeState
+		fr, err := durable.OpenFrame(path, pipeMagic)
+		if err == nil {
+			// Unreadable or checksum-failing files fail OpenFrame with
+			// durable.ErrFrame; a verified payload can still not decode.
+			err = gob.NewDecoder(fr).Decode(&ps)
+			fr.Close()
+		}
 		switch {
 		case os.IsNotExist(err):
 			// cold: nothing checkpointed yet.
@@ -251,12 +258,6 @@ func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipe
 			st.quarantineAndLog(path, err, logw)
 			p.recovery = recoveryQuarantined
 		default:
-			var ps pipeState
-			if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ps); derr != nil {
-				st.quarantineAndLog(path, derr, logw)
-				p.recovery = recoveryQuarantined
-				break
-			}
 			if rerr := p.online.RestoreState(bytes.NewReader(ps.Online)); rerr != nil {
 				if errors.Is(rerr, core.ErrStateMismatch) {
 					// Valid file from another configuration of this pipeline:

@@ -27,9 +27,9 @@ import (
 // at a time, so neither holds more than one stream's encoded state beside
 // the live engine. A damaged file is quarantined and the daemon cold-starts;
 // a verified file that does not decode is a writer bug and fails startup,
-// since by then the snapshot may be partly applied. Files written by the
-// previous release (magic "LARPRED1", one gob snapFile) are still restored,
-// through the same verified reader and the same per-stream apply.
+// since by then the snapshot may be partly applied. Any other magic,
+// including the whole-map "LARPRED1" format of earlier releases, is
+// quarantined like damage.
 //
 // Under the default snapshot durability mode there is no WAL: predictd's
 // clients own their data and can re-send the window since the last
@@ -38,10 +38,7 @@ import (
 // and <dir>/predictd.wal covers every ack made since it was written (see
 // wal.go).
 
-const (
-	snapMagic   = "LARPRED2"
-	snapMagicV1 = "LARPRED1" // read-only, for one release
-)
+const snapMagic = "LARPRED2"
 
 // snapHeader opens the snapshot's gob stream.
 type snapHeader struct {
@@ -61,14 +58,6 @@ type snapHeader struct {
 type snapRecord struct {
 	ID    string
 	State streamState
-}
-
-// snapFile is the whole persisted state in the LARPRED1 format, which
-// restore still reads.
-type snapFile struct {
-	Fingerprint string
-	Streams     map[string]streamState
-	Dedup       server.DedupState
 }
 
 // streamState is one stream's persisted state: the core codec's framed
@@ -215,7 +204,7 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 	hist *server.HistoryStore, newStream func(id string) (*core.Online, error),
 	dedup *server.Dedup, logw io.Writer) (int, error) {
 	path := st.path()
-	fr, err := durable.OpenFrame(path, snapMagic, snapMagicV1)
+	fr, err := durable.OpenFrame(path, snapMagic)
 	switch {
 	case os.IsNotExist(err):
 		return 0, nil // cold: nothing checkpointed yet
@@ -232,18 +221,7 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 	}
 	dec := gob.NewDecoder(bufio.NewReaderSize(fr, 64<<10))
 	var hdr snapHeader
-	var v1Records []snapRecord
-	if fr.Magic == snapMagicV1 {
-		var v1 snapFile
-		if err := dec.Decode(&v1); err != nil {
-			return 0, undecodable("the payload", err)
-		}
-		hdr = snapHeader{Fingerprint: v1.Fingerprint, Dedup: v1.Dedup, Streams: len(v1.Streams)}
-		v1Records = make([]snapRecord, 0, len(v1.Streams))
-		for id, ss := range v1.Streams {
-			v1Records = append(v1Records, snapRecord{ID: id, State: ss})
-		}
-	} else if err := dec.Decode(&hdr); err != nil {
+	if err := dec.Decode(&hdr); err != nil {
 		return 0, undecodable("the header", err)
 	}
 	if hdr.Fingerprint != st.fingerprint {
@@ -264,9 +242,7 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 		// Zeroed each time: gob leaves fields absent from the stream (zero
 		// values) untouched, so the previous stream's state would leak.
 		*rec = snapRecord{}
-		if v1Records != nil {
-			*rec, v1Records[i] = v1Records[i], snapRecord{}
-		} else if err := dec.Decode(rec); err != nil {
+		if err := dec.Decode(rec); err != nil {
 			return restored, undecodable(fmt.Sprintf("record %d of %d", i, hdr.Streams), err)
 		}
 		id := rec.ID

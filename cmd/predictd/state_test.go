@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,107 +126,60 @@ func (h *stateHarness) captured(tb testing.TB) map[string]streamState {
 	return out
 }
 
-// reads returns the bodies of the forecast, bulk and history reads for
-// streams 0..streams-1, keyed by request path.
-func (h *stateHarness) reads(tb testing.TB, streams int) map[string]string {
+// writeFrame writes payload to path as one durable frame under magic.
+func writeFrame(tb testing.TB, path, magic string, payload []byte) {
 	tb.Helper()
-	cfg := server.Config{Engine: h.eng, Cache: h.cache, History: h.hist}
-	if h.dedup != nil {
-		cfg.Applied = h.dedup.Applied
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < streams; i++ {
-		ids = append(ids, stateStreamID(i))
-	}
-	paths := []string{"/v1/forecasts?streams=" + strings.Join(ids, ",")}
-	for _, id := range ids {
-		paths = append(paths, "/v1/forecast/"+id, "/v1/forecast/"+id+"/history",
-			"/v1/forecast/"+id+"/history?step=16")
-	}
-	out := map[string]string{}
-	for _, p := range paths {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-		if rec.Code != http.StatusOK {
-			tb.Fatalf("GET %s = %d: %s", p, rec.Code, rec.Body)
+	err := durable.WriteFileAtomic(path, func(w io.Writer) error {
+		fw, err := durable.NewFrameWriter(w, magic)
+		if err != nil {
+			return err
 		}
-		out[p] = rec.Body.String()
-	}
-	return out
-}
-
-// saveParentFormat writes the snapshot as the previous release did: one
-// gob snapFile in a LARPRED1 frame.
-func (h *stateHarness) saveParentFormat(tb testing.TB) {
-	tb.Helper()
-	snap := snapFile{Fingerprint: h.st.fingerprint, Streams: h.captured(tb)}
-	if h.dedup != nil {
-		snap.Dedup = h.dedup.State()
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
-		tb.Fatal(err)
-	}
-	err := durable.WriteFileAtomic(h.st.path(), func(w io.Writer) error {
-		return durable.WriteChecksummed(w, snapMagicV1, payload.Bytes())
+		if _, err := fw.Write(payload); err != nil {
+			return err
+		}
+		return fw.Close()
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 }
 
-// TestSnapshotParentFormatRestores: a LARPRED1 file from the previous
-// release restores to exactly what the same state restores to through
-// LARPRED2 — the same reads before and after new samples, and the same
-// dedup decisions.
-func TestSnapshotParentFormatRestores(t *testing.T) {
-	const streams = 6
-	for _, walMode := range []bool{false, true} {
-		t.Run(fmt.Sprintf("wal=%v", walMode), func(t *testing.T) {
-			dir := t.TempDir()
-			src := newStateHarness(t, dir, walMode)
-			src.feed(t, streams, 1, 40)
-			restored := func(save func(testing.TB)) *stateHarness {
-				save(t)
-				h := newStateHarness(t, dir, walMode)
-				if n, err := h.restore(io.Discard); err != nil || n != streams {
-					t.Fatalf("restore = %d, %v; want %d streams", n, err, streams)
-				}
-				if got, want := h.captured(t), src.captured(t); !reflect.DeepEqual(got, want) {
-					t.Error("restored state differs from the state saved")
-				}
-				return h
-			}
-			v1 := restored(src.saveParentFormat)
-			v2 := restored(src.save)
-			if a, b := v1.reads(t, streams), v2.reads(t, streams); !reflect.DeepEqual(a, b) {
-				t.Errorf("reads after restore differ:\nLARPRED1 %v\nLARPRED2 %v", a, b)
-			}
-			if walMode {
-				for _, h := range []*stateHarness{v1, v2} {
-					if !reflect.DeepEqual(h.dedup.State(), src.dedup.State()) {
-						t.Error("restored dedup table differs from the one saved")
-					}
-				}
-				// Seqs 35..45: the first six were applied before the save.
-				for j := uint64(35); j <= 45; j++ {
-					id := stateStreamID(int(j) % streams)
-					a, b := v1.dedup.Apply(id, "src", j), v2.dedup.Apply(id, "src", j)
-					if a != b || a != (j > 40) {
-						t.Errorf("dedup of %s seq %d: LARPRED1 %v, LARPRED2 %v, want %v", id, j, a, b, j > 40)
-					}
-				}
-			}
-			v1.feed(t, streams, 41, 10)
-			v2.feed(t, streams, 41, 10)
-			if a, b := v1.reads(t, streams), v2.reads(t, streams); !reflect.DeepEqual(a, b) {
-				t.Errorf("reads after new samples differ:\nLARPRED1 %v\nLARPRED2 %v", a, b)
-			}
-		})
+// TestSnapshotLARPRED1Quarantined: the whole-map LARPRED1 format of earlier
+// releases is no longer read. An intact LARPRED1 file is quarantined like
+// damage, and the daemon cold-starts with an empty dedup table.
+func TestSnapshotLARPRED1Quarantined(t *testing.T) {
+	dir := t.TempDir()
+	src := newStateHarness(t, dir, true)
+	src.feed(t, 3, 1, 25)
+	// The LARPRED1 payload: one gob value of this shape.
+	v1 := struct {
+		Fingerprint string
+		Streams     map[string]streamState
+		Dedup       server.DedupState
+	}{src.st.fingerprint, src.captured(t), src.dedup.State()}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&v1); err != nil {
+		t.Fatal(err)
+	}
+	path := src.st.path()
+	writeFrame(t, path, "LARPRED1", payload.Bytes())
+
+	dst := newStateHarness(t, dir, true)
+	var log bytes.Buffer
+	if n, err := dst.restore(&log); err != nil || n != 0 {
+		t.Fatalf("restore = %d, %v; want a cold start", n, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("LARPRED1 snapshot not quarantined: %v (log %q)", err, log.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("LARPRED1 snapshot still in place (%v)", err)
+	}
+	if s := dst.eng.EngineStats().Streams; s != 0 {
+		t.Errorf("%d streams registered from a LARPRED1 snapshot", s)
+	}
+	if got := dst.dedup.State(); len(got.Streams) != 0 {
+		t.Errorf("dedup table restored from a LARPRED1 snapshot: %+v", got)
 	}
 }
 
@@ -371,17 +322,12 @@ func TestSnapshotUndecodableRecordFailsStartup(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "predictd.snap")
-			err := durable.WriteFileAtomic(path, func(w io.Writer) error {
-				return durable.WriteChecksummed(w, snapMagic, c.payload)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			writeFrame(t, path, snapMagic, c.payload)
 			o := testOptions()
 			o.stateDir, o.durability = dir, "wal"
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // a daemon that did start shuts down at once
-			err = run(ctx, io.Discard, o)
+			err := run(ctx, io.Discard, o)
 			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("startup err = %v; want a failure naming %s and %q", err, path, c.want)
 			}

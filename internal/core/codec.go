@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/knn"
 	"github.com/acis-lab/larpredictor/internal/nws"
 	"github.com/acis-lab/larpredictor/internal/pca"
@@ -18,14 +15,13 @@ import (
 )
 
 // Durable-state codec: a trained LARPredictor (and the Online wrapper with
-// its full resilience state) serializes to a magic header, a format version,
-// a gob payload, and a CRC32 footer covering everything before it — the same
-// framing as the rrd and preddb persistence formats, so the state directory
-// is uniform. The payload carries the normalizer coefficients, the PCA
-// basis, the k-NN training set, the normalized series the parametric experts
-// were fitted on, and (for Online) the health/breaker/backoff machinery, so
-// a restart resumes forecasting exactly where the crash left off, with no
-// retraining.
+// its full resilience state) serializes to one durable.GobFrame — a magic
+// header, a format version, a gob payload, and a CRC32 footer covering
+// everything before it, the framing the rrd and preddb files share. The
+// payload carries the normalizer coefficients, the PCA basis, the k-NN
+// training set, the normalized series the parametric experts were fitted
+// on, and (for Online) the health/breaker/backoff machinery, so a restart
+// resumes forecasting exactly where the crash left off, with no retraining.
 //
 // RestoreState must be called on a predictor constructed with an equivalent
 // configuration; a fingerprint embedded in the state rejects anything else.
@@ -43,76 +39,18 @@ var (
 	ErrStateMismatch = errors.New("core: state does not match predictor configuration")
 )
 
-var (
-	larStateMagic    = [8]byte{'L', 'A', 'R', 'P', 'L', 'A', 'R', '1'}
-	onlineStateMagic = [8]byte{'L', 'A', 'R', 'P', 'O', 'N', 'L', '1'}
-)
-
 // stateVersion 2: the Health enum gained the Tournament rung between
 // Healthy and Degraded, renumbering every deeper rung, and the payload
 // gained the tournament/drift state — version-1 snapshots would silently
 // restore the wrong health, so they are rejected at the frame layer.
 const stateVersion uint32 = 2
 
-// writeFramed writes magic + version + gob(payload) + CRC32 footer.
-func writeFramed(w io.Writer, magic [8]byte, payload any) error {
-	h := crc32.NewIEEE()
-	mw := io.MultiWriter(w, h)
-	if _, err := mw.Write(magic[:]); err != nil {
-		return fmt.Errorf("core: write state magic: %w", err)
-	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], stateVersion)
-	if _, err := mw.Write(ver[:]); err != nil {
-		return fmt.Errorf("core: write state version: %w", err)
-	}
-	if err := gob.NewEncoder(mw).Encode(payload); err != nil {
-		return fmt.Errorf("core: encode state: %w", err)
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], h.Sum32())
-	if _, err := w.Write(foot[:]); err != nil {
-		return fmt.Errorf("core: write state checksum: %w", err)
-	}
-	return nil
-}
-
-// readFramed reads and verifies a stream written by writeFramed.
-func readFramed(r io.Reader, magic [8]byte, payload any) error {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return fmt.Errorf("core: read state magic: %w", err)
-	}
-	if m != magic {
-		return fmt.Errorf("core: bad state magic %q: %w", m[:], ErrBadState)
-	}
-	var ver [4]byte
-	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return fmt.Errorf("core: read state version: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(ver[:]); v != stateVersion {
-		return fmt.Errorf("core: state version %d unsupported: %w", v, ErrBadState)
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("core: read state: %w", err)
-	}
-	if len(data) < 4 {
-		return fmt.Errorf("core: state truncated before checksum: %w", ErrBadState)
-	}
-	body, foot := data[:len(data)-4], data[len(data)-4:]
-	h := crc32.NewIEEE()
-	h.Write(m[:])
-	h.Write(ver[:])
-	h.Write(body)
-	if h.Sum32() != binary.LittleEndian.Uint32(foot) {
-		return fmt.Errorf("core: %w", ErrChecksum)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(payload); err != nil {
-		return fmt.Errorf("core: decode state: %w: %v", ErrBadState, err)
-	}
-	return nil
-}
+var (
+	larFrame = durable.GobFrame{Magic: "LARPLAR1", Version: stateVersion,
+		ErrFormat: ErrBadState, ErrChecksum: ErrChecksum}
+	onlineFrame = durable.GobFrame{Magic: "LARPONL1", Version: stateVersion,
+		ErrFormat: ErrBadState, ErrChecksum: ErrChecksum}
+)
 
 // predictorFingerprint identifies the configuration a LARPredictor state was
 // captured under. Restore rejects states whose fingerprint differs from the
@@ -293,7 +231,7 @@ func (l *LARPredictor) restoreState(s *larState) error {
 // estimates — in the versioned, checksummed core state format. An untrained
 // predictor saves a valid (trivial) state.
 func (l *LARPredictor) SaveState(w io.Writer) error {
-	return writeFramed(w, larStateMagic, l.captureState())
+	return larFrame.Encode(w, l.captureState())
 }
 
 // RestoreState loads state written by SaveState into this predictor. The
@@ -303,7 +241,7 @@ func (l *LARPredictor) SaveState(w io.Writer) error {
 // error the predictor is left unchanged.
 func (l *LARPredictor) RestoreState(r io.Reader) error {
 	var s larState
-	if err := readFramed(r, larStateMagic, &s); err != nil {
+	if err := larFrame.Decode(r, &s); err != nil {
 		return err
 	}
 	return l.restoreState(&s)
@@ -423,7 +361,7 @@ func (o *Online) SaveState(w io.Writer) error {
 		s.DriftCfg = *o.cfg.Drift
 		s.DriftState = o.drift.State()
 	}
-	return writeFramed(w, onlineStateMagic, s)
+	return onlineFrame.Encode(w, s)
 }
 
 // RestoreState loads state written by Online.SaveState. The receiver must
@@ -434,7 +372,7 @@ func (o *Online) SaveState(w io.Writer) error {
 // usable (cold) state.
 func (o *Online) RestoreState(r io.Reader) error {
 	var s onlineState
-	if err := readFramed(r, onlineStateMagic, &s); err != nil {
+	if err := onlineFrame.Decode(r, &s); err != nil {
 		return err
 	}
 	if s.TrainSize != o.cfg.TrainSize || s.AuditWindow != o.cfg.AuditWindow ||

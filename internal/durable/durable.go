@@ -1,13 +1,16 @@
 // Package durable provides the crash-safety primitives the daemons' state
 // directories are built from: atomic snapshot files (write-to-temp, fsync,
-// rename), checksummed frames, and a write-ahead log of opaque batch records
-// with per-record checksums and torn-tail recovery.
+// rename), checksummed frames, the versioned gob frame every state codec
+// shares, and a write-ahead log of opaque batch records with per-record
+// checksums and torn-tail recovery.
 //
-// The package deliberately knows nothing about what is inside a snapshot or
-// a log record — the rrd, preddb, core, and server packages each own a
-// versioned, checksummed codec — it only guarantees that a snapshot file is
-// either the complete old version or the complete new version, never a torn
-// mixture, and that WAL records survive up to the last fsync.
+// The package owns the framing, not the contents: the core, rrd and preddb
+// packages each declare a GobFrame with their own magic, version and error
+// sentinels and choose what goes in it, and a log record is opaque bytes.
+// It guarantees that a state file is either the complete old version or the
+// complete new version, never a torn mixture, that a damaged frame is
+// refused before any of it is decoded, and that WAL records survive up to
+// the last fsync.
 package durable
 
 import (

@@ -11,28 +11,17 @@ import (
 	"testing"
 )
 
-// TestFrameLayout pins the on-disk layout, magic + payload + CRC32-IEEE
-// (little-endian) over both, and requires the streaming writer to produce
-// the same bytes however the payload is split.
-func TestFrameLayout(t *testing.T) {
-	payload := bytes.Repeat([]byte("frame payload "), 1000)
-	want := append([]byte("LARTEST1"), payload...)
-	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
-
-	var whole bytes.Buffer
-	if err := WriteChecksummed(&whole, "LARTEST1", payload); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole.Bytes(), want) {
-		t.Fatal("WriteChecksummed layout changed")
-	}
-	var streamed bytes.Buffer
-	fw, err := NewFrameWriter(&streamed, "LARTEST1")
+// writeFrame returns payload as one frame under magic, written through a
+// FrameWriter in chunks of at most chunk bytes.
+func writeFrame(t *testing.T, magic string, payload []byte, chunk int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := NewFrameWriter(&buf, magic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rest := payload; len(rest) > 0; {
-		n := min(len(rest), 777)
+		n := min(len(rest), chunk)
 		if _, err := fw.Write(rest[:n]); err != nil {
 			t.Fatal(err)
 		}
@@ -41,14 +30,26 @@ func TestFrameLayout(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(streamed.Bytes(), want) {
-		t.Fatal("FrameWriter output differs from WriteChecksummed")
+	return buf.Bytes()
+}
+
+// TestFrameLayout pins the on-disk layout, magic + payload + CRC32-IEEE
+// (little-endian) over both, and requires the streaming writer to produce
+// the same bytes however the payload is split.
+func TestFrameLayout(t *testing.T) {
+	payload := bytes.Repeat([]byte("frame payload "), 1000)
+	want := append([]byte("LARTEST1"), payload...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	for _, chunk := range []int{len(payload), 777, 1} {
+		if got := writeFrame(t, "LARTEST1", payload, chunk); !bytes.Equal(got, want) {
+			t.Fatalf("FrameWriter layout changed (%d-byte writes)", chunk)
+		}
 	}
 }
 
-// TestOpenFrame: a verified frame reports which accepted magic it carries
-// and yields exactly its payload; any damage, a wrong magic, or a missing
-// file is refused before a payload byte is handed out.
+// TestOpenFrame: a verified frame yields exactly its payload; any damage, a
+// wrong magic, or a missing file is refused before a payload byte is handed
+// out.
 func TestOpenFrame(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
@@ -62,24 +63,17 @@ func TestOpenFrame(t *testing.T) {
 		t.Fatalf("missing file: err = %v, want not-exist", err)
 	}
 	for _, payload := range [][]byte{nil, []byte("old format"), bytes.Repeat([]byte{7}, 200<<10)} {
-		var buf bytes.Buffer
-		if err := WriteChecksummed(&buf, "LARTEST1", payload); err != nil {
-			t.Fatal(err)
-		}
-		good := buf.Bytes()
+		good := writeFrame(t, "LARTEST1", payload, 4096)
 		write(good)
-		fr, err := OpenFrame(path, "LARTEST2", "LARTEST1")
+		fr, err := OpenFrame(path, "LARTEST1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := io.ReadAll(fr)
 		fr.Close()
-		if err != nil || fr.Magic != "LARTEST1" || !bytes.Equal(got, payload) || fr.Size() != int64(len(payload)) {
-			t.Fatalf("OpenFrame = magic %q, %d bytes (size %d), %v; want LARTEST1 and the %d-byte payload",
-				fr.Magic, len(got), fr.Size(), err, len(payload))
-		}
-		if whole, err := ReadChecksummedFile(path, "LARTEST1"); err != nil || !bytes.Equal(whole, payload) {
-			t.Fatalf("ReadChecksummedFile = %d bytes, %v", len(whole), err)
+		if err != nil || !bytes.Equal(got, payload) || fr.Size() != int64(len(payload)) {
+			t.Fatalf("OpenFrame = %d bytes (size %d), %v; want the %d-byte payload",
+				len(got), fr.Size(), err, len(payload))
 		}
 		if _, err := OpenFrame(path, "LARTEST2"); !errors.Is(err, ErrFrame) {
 			t.Fatalf("unaccepted magic: err = %v, want ErrFrame", err)

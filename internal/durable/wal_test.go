@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/acis-lab/larpredictor/internal/faults"
 )
 
 // These tests drive BatchWAL with one fixed-size observation per record
@@ -173,7 +171,12 @@ func TestWALBitFlipStopsReplay(t *testing.T) {
 	// Flip a bit in the value of record 2 (0-indexed): replay must stop at
 	// record 2 and discard it and everything after.
 	off := int64(len(batchWALMagic)) + 2*obsRecordSize + 4 + 10
-	if err := faults.FlipBit(path, off, 3); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= 1 << 3
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	recs, truncated, err := reopen(t, path)

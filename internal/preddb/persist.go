@@ -1,21 +1,24 @@
 package preddb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
+
+	"github.com/acis-lab/larpredictor/internal/durable"
 )
 
-// persistence format: magic header, version, gob stream, and (since v2) a
-// CRC32-IEEE footer over everything preceding it — same scheme as
-// internal/rrd so operators can identify the files.
+// persistence format: a durable.GobFrame — magic header, version, gob
+// stream, and (since v2) a CRC32-IEEE footer over everything preceding it,
+// the same scheme as internal/rrd so operators can identify the files. v1
+// files, written before the footer existed, still load.
 var persistMagic = [8]byte{'L', 'A', 'R', 'P', 'P', 'D', 'B', '1'}
 
 const persistVersion uint32 = 2
+
+var persistFrame = durable.GobFrame{Magic: string(persistMagic[:]), Version: persistVersion,
+	Legacy: 1, ErrFormat: ErrBadFormat, ErrChecksum: ErrChecksum}
 
 // ErrBadFormat is returned by Load for unrecognized input.
 var ErrBadFormat = errors.New("preddb: unrecognized database format")
@@ -33,20 +36,6 @@ type snapshot struct {
 // Save serializes the database in the v2 checksummed format. It holds the
 // read lock for the duration.
 func (db *DB) Save(w io.Writer) error {
-	sum := crc32.NewIEEE()
-	cw := io.MultiWriter(w, sum)
-	if _, err := cw.Write(persistMagic[:]); err != nil {
-		return fmt.Errorf("preddb: write magic: %w", err)
-	}
-	var ver [4]byte
-	ver[0] = byte(persistVersion)
-	ver[1] = byte(persistVersion >> 8)
-	ver[2] = byte(persistVersion >> 16)
-	ver[3] = byte(persistVersion >> 24)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return fmt.Errorf("preddb: write version: %w", err)
-	}
-
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	snap := snapshot{}
@@ -56,17 +45,8 @@ func (db *DB) Save(w io.Writer) error {
 		copy(cp, rows)
 		snap.Rows = append(snap.Rows, cp)
 	}
-	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
-		return fmt.Errorf("preddb: encode: %w", err)
-	}
-	var foot [4]byte
-	c := sum.Sum32()
-	foot[0] = byte(c)
-	foot[1] = byte(c >> 8)
-	foot[2] = byte(c >> 16)
-	foot[3] = byte(c >> 24)
-	if _, err := w.Write(foot[:]); err != nil {
-		return fmt.Errorf("preddb: write checksum: %w", err)
+	if err := persistFrame.Encode(w, &snap); err != nil {
+		return err
 	}
 	if db.met != nil {
 		db.met.saves.Inc()
@@ -78,49 +58,9 @@ func (db *DB) Save(w io.Writer) error {
 // v2 checksummed layout and the checksum-less v1 layout written by earlier
 // releases.
 func Load(r io.Reader) (*DB, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("preddb: read magic: %w", err)
-	}
-	if magic != persistMagic {
-		return nil, ErrBadFormat
-	}
-	var ver [4]byte
-	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return nil, fmt.Errorf("preddb: read version: %w", err)
-	}
-	v := uint32(ver[0]) | uint32(ver[1])<<8 | uint32(ver[2])<<16 | uint32(ver[3])<<24
-	var body io.Reader
-	switch v {
-	case 1:
-		// v1 had no footer: gob consumes the remainder of the stream.
-		body = r
-	case persistVersion:
-		// gob.Decoder reads ahead, so the footer must be split off before
-		// decoding rather than read from the same stream afterwards.
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("preddb: read body: %w", err)
-		}
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("preddb: truncated before checksum: %w", ErrBadFormat)
-		}
-		payload, foot := rest[:len(rest)-4], rest[len(rest)-4:]
-		want := uint32(foot[0]) | uint32(foot[1])<<8 | uint32(foot[2])<<16 | uint32(foot[3])<<24
-		sum := crc32.NewIEEE()
-		sum.Write(magic[:])
-		sum.Write(ver[:])
-		sum.Write(payload)
-		if sum.Sum32() != want {
-			return nil, ErrChecksum
-		}
-		body = bytes.NewReader(payload)
-	default:
-		return nil, fmt.Errorf("preddb: version %d unsupported: %w", v, ErrBadFormat)
-	}
 	var snap snapshot
-	if err := gob.NewDecoder(body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("preddb: decode: %w", err)
+	if err := persistFrame.Decode(r, &snap); err != nil {
+		return nil, err
 	}
 	if len(snap.Keys) != len(snap.Rows) {
 		return nil, fmt.Errorf("preddb: corrupt snapshot (%d keys, %d row sets): %w",

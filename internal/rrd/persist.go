@@ -1,22 +1,25 @@
 package rrd
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"github.com/acis-lab/larpredictor/internal/durable"
 )
 
-// persistence format: a fixed magic header, a format version, a gob stream
-// of the snapshot struct, and (since v2) a CRC32-IEEE footer over everything
-// preceding it. The magic guards against feeding arbitrary files to Load;
-// the version allows layout changes; the checksum detects torn writes and
-// bit rot before gob gets a chance to misdecode them.
+// persistence format: a durable.GobFrame — a fixed magic header, a format
+// version, a gob stream of the snapshot struct, and (since v2) a CRC32-IEEE
+// footer over everything preceding it. The magic guards against feeding
+// arbitrary files to Load; the version allows layout changes; the checksum
+// detects torn writes and bit rot before gob gets a chance to misdecode
+// them. v1 files, written before the footer existed, still load.
 var persistMagic = [8]byte{'L', 'A', 'R', 'P', 'R', 'R', 'D', '1'}
 
 const persistVersion uint32 = 2
+
+var persistFrame = durable.GobFrame{Magic: string(persistMagic[:]), Version: persistVersion,
+	Legacy: 1, ErrFormat: ErrBadFormat, ErrChecksum: ErrChecksum}
 
 // ErrBadFormat is returned by Load for unrecognized input.
 var ErrBadFormat = errors.New("rrd: unrecognized database format")
@@ -72,19 +75,6 @@ func restoreCDPs(cs []cdpSnapshot) []cdp {
 
 // Save serializes the database in the v2 checksummed format.
 func (r *RRD) Save(w io.Writer) error {
-	sum := crc32.NewIEEE()
-	cw := io.MultiWriter(w, sum)
-	if _, err := cw.Write(persistMagic[:]); err != nil {
-		return fmt.Errorf("rrd: write magic: %w", err)
-	}
-	var ver [4]byte
-	ver[0] = byte(persistVersion)
-	ver[1] = byte(persistVersion >> 8)
-	ver[2] = byte(persistVersion >> 16)
-	ver[3] = byte(persistVersion >> 24)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return fmt.Errorf("rrd: write version: %w", err)
-	}
 	snap := snapshot{
 		Step:       r.step,
 		DS:         r.ds,
@@ -104,68 +94,16 @@ func (r *RRD) Save(w io.Writer) error {
 			CDPs:       snapshotCDPs(a.cdps),
 		})
 	}
-	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
-		return fmt.Errorf("rrd: encode: %w", err)
-	}
-	var foot [4]byte
-	c := sum.Sum32()
-	foot[0] = byte(c)
-	foot[1] = byte(c >> 8)
-	foot[2] = byte(c >> 16)
-	foot[3] = byte(c >> 24)
-	if _, err := w.Write(foot[:]); err != nil {
-		return fmt.Errorf("rrd: write checksum: %w", err)
-	}
-	return nil
+	return persistFrame.Encode(w, &snap)
 }
 
 // Load deserializes a database written by Save. It reads both the current
 // v2 checksummed layout and the checksum-less v1 layout written by earlier
 // releases.
 func Load(r io.Reader) (*RRD, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("rrd: read magic: %w", err)
-	}
-	if magic != persistMagic {
-		return nil, ErrBadFormat
-	}
-	var ver [4]byte
-	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return nil, fmt.Errorf("rrd: read version: %w", err)
-	}
-	v := uint32(ver[0]) | uint32(ver[1])<<8 | uint32(ver[2])<<16 | uint32(ver[3])<<24
-	var body io.Reader
-	switch v {
-	case 1:
-		// v1 had no footer: gob consumes the remainder of the stream.
-		body = r
-	case persistVersion:
-		// gob.Decoder reads ahead, so the footer must be split off before
-		// decoding rather than read from the same stream afterwards.
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("rrd: read body: %w", err)
-		}
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("rrd: truncated before checksum: %w", ErrBadFormat)
-		}
-		payload, foot := rest[:len(rest)-4], rest[len(rest)-4:]
-		want := uint32(foot[0]) | uint32(foot[1])<<8 | uint32(foot[2])<<16 | uint32(foot[3])<<24
-		sum := crc32.NewIEEE()
-		sum.Write(magic[:])
-		sum.Write(ver[:])
-		sum.Write(payload)
-		if sum.Sum32() != want {
-			return nil, ErrChecksum
-		}
-		body = bytes.NewReader(payload)
-	default:
-		return nil, fmt.Errorf("rrd: version %d unsupported: %w", v, ErrBadFormat)
-	}
 	var snap snapshot
-	if err := gob.NewDecoder(body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("rrd: decode: %w", err)
+	if err := persistFrame.Decode(r, &snap); err != nil {
+		return nil, err
 	}
 	specs := make([]RRASpec, len(snap.Archives))
 	for i, a := range snap.Archives {

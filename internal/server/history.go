@@ -122,33 +122,8 @@ func (c HistoryConfig) withDefaults() (HistoryConfig, error) {
 	return c, nil
 }
 
-// expertCount tracks one expert's forecast count within an open bucket.
-// Experts per stream are few (the pool names plus the fallback rungs), so a
-// small linear array beats a map and allocates nothing.
-type expertCount struct {
-	Name  string
-	Count int
-}
-
-// historyBucket accumulates raw steps toward one consolidated row. All
-// fields are exported so the accumulator round-trips through the snapshot
-// codec and a restart resumes mid-bucket instead of losing the partial row.
-type historyBucket struct {
-	Count     int
-	Predicted int
-	StartTS   int64
-	EndTS     int64
-	StartSeq  uint64
-	EndSeq    uint64
-	ActualSum float64
-	ActualMin float64
-	ActualMax float64
-	PredSum   float64
-	AbsErrSum float64
-	Experts   []expertCount
-}
-
-func (b *historyBucket) reset() {
+// reset empties the bucket for its next row, keeping Experts' array.
+func (b *HistoryBucketState) reset() {
 	b.Count, b.Predicted = 0, 0
 	b.StartTS, b.EndTS, b.StartSeq, b.EndSeq = 0, 0, 0, 0
 	b.ActualSum, b.PredSum, b.AbsErrSum = 0, 0, 0
@@ -157,7 +132,7 @@ func (b *historyBucket) reset() {
 }
 
 // add folds in step seq, e, targeted by forecast f.
-func (b *historyBucket) add(seq uint64, e *rawEntry, f *forecast) {
+func (b *HistoryBucketState) add(seq uint64, e *rawEntry, f *forecast) {
 	if b.Count == 0 {
 		b.StartTS, b.StartSeq = e.TS, seq
 		b.ActualMin, b.ActualMax = e.Actual, e.Actual
@@ -185,13 +160,13 @@ func (b *historyBucket) add(seq uint64, e *rawEntry, f *forecast) {
 			}
 		}
 		if !found {
-			b.Experts = append(b.Experts, expertCount{Name: f.Expert, Count: 1})
+			b.Experts = append(b.Experts, HistoryExpertCount{Name: f.Expert, Count: 1})
 		}
 	}
 }
 
 // row flattens the accumulator into a consolidated row.
-func (b *historyBucket) row() HistoryRow {
+func (b *HistoryBucketState) row() HistoryRow {
 	r := HistoryRow{
 		StartTS: b.StartTS, EndTS: b.EndTS,
 		StartSeq: b.StartSeq, EndSeq: b.EndSeq,
@@ -273,7 +248,7 @@ func (r *ring[T]) load(items []T) {
 type historyTier struct {
 	steps  int
 	rows   ring[HistoryRow]
-	bucket historyBucket
+	bucket HistoryBucketState
 }
 
 // forecast is one issued forecast, valid when HasPred; its fields match
@@ -589,7 +564,11 @@ type HistoryTierState struct {
 	Bucket HistoryBucketState
 }
 
-// HistoryBucketState is a mid-bucket accumulator's persisted state.
+// HistoryBucketState is a tier's open bucket: the accumulator of raw steps
+// toward one consolidated row. The live tier holds one, and it persists as
+// is, so a restart resumes mid-bucket instead of losing the partial row.
+// Experts per stream are few (the pool names plus the fallback rungs), so a
+// small linear array of tallies beats a map and allocates nothing.
 type HistoryBucketState struct {
 	Count     int
 	Predicted int
@@ -605,10 +584,18 @@ type HistoryBucketState struct {
 	Experts   []HistoryExpertCount
 }
 
-// HistoryExpertCount is one expert's bucket tally in persisted form.
+// HistoryExpertCount is one expert's forecast count within a bucket.
 type HistoryExpertCount struct {
 	Name  string
 	Count int
+}
+
+// clone copies b with its own Experts, so a captured or installed state
+// never shares memory with a live bucket. An empty tally clones to nil, as
+// the persisted state has always carried it.
+func (b HistoryBucketState) clone() HistoryBucketState {
+	b.Experts = append([]HistoryExpertCount(nil), b.Experts...)
+	return b
 }
 
 // HistoryState is one stream's complete persisted history: the predictd
@@ -644,17 +631,7 @@ func (h *HistoryStore) State(id string) (HistoryState, bool) {
 		for j := 0; j < t.rows.filled; j++ {
 			ts.Rows = append(ts.Rows, *t.rows.at(j))
 		}
-		b := &t.bucket
-		ts.Bucket = HistoryBucketState{
-			Count: b.Count, Predicted: b.Predicted,
-			StartTS: b.StartTS, EndTS: b.EndTS,
-			StartSeq: b.StartSeq, EndSeq: b.EndSeq,
-			ActualSum: b.ActualSum, ActualMin: b.ActualMin, ActualMax: b.ActualMax,
-			PredSum: b.PredSum, AbsErrSum: b.AbsErrSum,
-		}
-		for _, ec := range b.Experts {
-			ts.Bucket.Experts = append(ts.Bucket.Experts, HistoryExpertCount(ec))
-		}
+		ts.Bucket = t.bucket.clone()
 		st.Tiers = append(st.Tiers, ts)
 	}
 	return st, true
@@ -694,17 +671,7 @@ func (h *HistoryStore) Restore(id string, st HistoryState) {
 				continue
 			}
 			t.rows.load(ts.Rows)
-			b := ts.Bucket
-			t.bucket = historyBucket{
-				Count: b.Count, Predicted: b.Predicted,
-				StartTS: b.StartTS, EndTS: b.EndTS,
-				StartSeq: b.StartSeq, EndSeq: b.EndSeq,
-				ActualSum: b.ActualSum, ActualMin: b.ActualMin, ActualMax: b.ActualMax,
-				PredSum: b.PredSum, AbsErrSum: b.AbsErrSum,
-			}
-			for _, ec := range b.Experts {
-				t.bucket.Experts = append(t.bucket.Experts, expertCount(ec))
-			}
+			t.bucket = ts.Bucket.clone()
 			break
 		}
 	}

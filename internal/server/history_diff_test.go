@@ -25,7 +25,7 @@ type refHistory struct {
 type refTier struct {
 	steps, max int
 	rows       []HistoryRow // oldest first, at most max
-	bucket     historyBucket
+	bucket     HistoryBucketState
 }
 
 func newRefHistory(cfg HistoryConfig) *refHistory {
@@ -154,7 +154,7 @@ func (r *refHistory) restore(st HistoryState) {
 			}
 			t.rows = append([]HistoryRow(nil), keepNewest(ts.Rows, t.max)...)
 			b := ts.Bucket
-			t.bucket = historyBucket{
+			t.bucket = HistoryBucketState{
 				Count: b.Count, Predicted: b.Predicted,
 				StartTS: b.StartTS, EndTS: b.EndTS,
 				StartSeq: b.StartSeq, EndSeq: b.EndSeq,
@@ -162,7 +162,7 @@ func (r *refHistory) restore(st HistoryState) {
 				PredSum: b.PredSum, AbsErrSum: b.AbsErrSum,
 			}
 			for _, ec := range b.Experts {
-				t.bucket.Experts = append(t.bucket.Experts, expertCount(ec))
+				t.bucket.Experts = append(t.bucket.Experts, HistoryExpertCount(ec))
 			}
 			break
 		}

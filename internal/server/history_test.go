@@ -256,6 +256,39 @@ func TestHistoryStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHistoryStateSharesNoMemory: a captured state and the live open
+// bucket never alias, in either direction, so a snapshot or handoff in
+// flight does not change as the stream keeps recording.
+func TestHistoryStateSharesNoMemory(t *testing.T) {
+	cfg := HistoryConfig{RawRows: 8, Tiers: []HistoryTier{{Steps: 8, Rows: 4}}}
+	record := func(h *HistoryStore, from, to int) {
+		for i := from; i <= to; i++ {
+			h.Record(histResult("s", int64(i), float64(i), float64(i)+1, "a", false))
+		}
+	}
+	experts := func(st HistoryState) string { return fmt.Sprint(st.Tiers[0].Bucket.Experts) }
+	live := newHistory(t, cfg)
+	record(live, 1, 4)
+	st, _ := live.State("s")
+	want := experts(st)
+	record(live, 5, 6) // the live bucket's tally grows in place
+	if got := experts(st); got != want {
+		t.Fatalf("captured tally changed with the live bucket: %s, want %s", got, want)
+	}
+
+	restored := newHistory(t, cfg)
+	restored.Restore("s", st)
+	st.Tiers[0].Bucket.Experts[0].Count = 999
+	if back, _ := restored.State("s"); experts(back) != want {
+		t.Fatalf("restored tally changed with the state it came from: %s, want %s", experts(back), want)
+	}
+	st.Tiers[0].Bucket.Experts[0].Count = 0
+	record(restored, 5, 6)
+	if experts(st) != "[{a 0}]" {
+		t.Fatalf("state changed with the bucket restored from it: %s", experts(st))
+	}
+}
+
 // TestHistoryRestoreClamps restores state captured under a bigger ring and a
 // different tier layout into a smaller store: raw clamps to the newest
 // entries, mismatched tiers restart cold.
