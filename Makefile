@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-module staticcheck vuln fmt fuzz-seeds fuzz-wire crash-test chaos-soak cluster-soak run-predictd bench bench-baseline bench-guard cover cover-html ci
+.PHONY: build test race vet bench-module staticcheck vuln fmt fuzz-seeds fuzz-wire crash-test chaos-soak cluster-soak run-predictd bench bench-baseline bench-guard print-guard-bench cover cover-html ci
 
 build:
 	$(GO) build ./...
@@ -115,15 +115,21 @@ bench:
 # time/op regresses more than 10% or its median allocs/op rises above the
 # baseline's highest run (exactly "any growth" when the baseline runs agree).
 # benchstat, when installed, adds the statistician's view; the verdict is
-# benchguard's. CI's bench-regression job drives this against the merge
-# base with:
+# benchguard's. CI's bench-regression job reads GUARD_BENCH from the head's
+# Makefile (make -s print-guard-bench) before it checks out the merge base,
+# so both trees run the same set:
 #
-#   GUARD_BENCH='BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore|BenchmarkLARTrain'
+#   GUARD_BENCH=$(make -s print-guard-bench)
 #   git checkout <base> && make bench-baseline BENCH="$GUARD_BENCH"
 #   git checkout <head> && make bench          BENCH="$GUARD_BENCH"
 #   make bench-guard
 # benchstat's delta table prints first so a failing gate always comes with
 # the readable comparison right above the verdict.
+GUARD_BENCH := BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$$|BenchmarkIngestWAL|BenchmarkClusterForward|BenchmarkForecastReadQPS|BenchmarkHistoryRecord|BenchmarkIngestBinaryVsJSON|BenchmarkTournamentSelect|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore|BenchmarkLARTrain
+
+print-guard-bench:
+	@echo '$(GUARD_BENCH)'
+
 bench-guard:
 	@test -f bench-old.txt || { echo "bench-old.txt missing: run 'make bench-baseline' on the baseline tree first"; exit 1; }
 	@test -f bench-new.txt || { echo "bench-new.txt missing: run 'make bench' on the changed tree first"; exit 1; }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/wire"
@@ -97,18 +96,15 @@ func TestBinaryIngesterDeliversOverWire(t *testing.T) {
 	c := binTestClient(t, ts.URL, 1)
 
 	var acked atomic.Int32
-	bi, err := c.NewBinaryIngester(BinaryIngesterConfig{
-		Addr:     addr,
-		MaxBatch: 8,
+	bi := c.NewIngester(IngesterConfig{
+		BinaryAddr: addr,
+		MaxBatch:   8,
 		OnAck: func(resp *IngestResponse, batch []Sample) {
 			acked.Add(int32(resp.Accepted))
 		},
 		OnError:    func(err error, batch []Sample) { t.Errorf("unexpected OnError: %v", err) },
 		OnFallback: func(err error) { t.Errorf("unexpected fallback: %v", err) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := bi.Add(context.Background(), Sample{Stream: "bin/happy", TS: int64(i + 1), Value: float64(i)}); err != nil {
@@ -161,16 +157,12 @@ func TestBinaryIngesterDialFailureFallsBackToHTTP(t *testing.T) {
 	c := binTestClient(t, ts.URL, 1) // threshold 1: a single failure() would open it
 
 	var fallbacks atomic.Int32
-	bi, err := c.NewBinaryIngester(BinaryIngesterConfig{
-		Addr:        deadAddr,
-		MaxBatch:    4,
-		DialTimeout: 500 * time.Millisecond,
-		OnFallback:  func(err error) { fallbacks.Add(1) },
-		OnError:     func(err error, batch []Sample) { t.Errorf("unexpected OnError: %v", err) },
+	bi := c.NewIngester(IngesterConfig{
+		BinaryAddr: deadAddr,
+		MaxBatch:   4,
+		OnFallback: func(err error) { fallbacks.Add(1) },
+		OnError:    func(err error, batch []Sample) { t.Errorf("unexpected OnError: %v", err) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		if err := bi.Add(context.Background(), Sample{Stream: "bin/fallback", TS: int64(i + 1), Value: 1}); err != nil {
 			t.Fatal(err)
@@ -253,14 +245,10 @@ func TestBinaryIngesterConnResetNeverTripsBreaker(t *testing.T) {
 	ts, hits, httpSamples := httpIngestServer(t)
 	c := binTestClient(t, ts.URL, 1)
 
-	bi, err := c.NewBinaryIngester(BinaryIngesterConfig{
-		Addr:        addr,
-		MaxBatch:    4,
-		DialTimeout: time.Second,
+	bi := c.NewIngester(IngesterConfig{
+		BinaryAddr: addr,
+		MaxBatch:   4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		if err := bi.Add(context.Background(), Sample{Stream: "bin/reset", TS: int64(i + 1), Value: 1}); err != nil {
 			t.Fatal(err)
@@ -298,14 +286,11 @@ func TestBinaryIngesterBackpressureAckNeverTripsBreaker(t *testing.T) {
 	c := binTestClient(t, ts.URL, 1)
 
 	var fallbackErr error
-	bi, err := c.NewBinaryIngester(BinaryIngesterConfig{
-		Addr:       addr,
+	bi := c.NewIngester(IngesterConfig{
+		BinaryAddr: addr,
 		MaxBatch:   4,
 		OnFallback: func(err error) { fallbackErr = err },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		if err := bi.Add(context.Background(), Sample{Stream: "bin/backlog", TS: int64(i + 1), Value: 1}); err != nil {
 			t.Fatal(err)
@@ -325,4 +310,36 @@ func TestBinaryIngesterBackpressureAckNeverTripsBreaker(t *testing.T) {
 		t.Fatal("OnFallback never reported the backpressure transition")
 	}
 	assertBreakerClosed(t, c, "after backlog acks")
+}
+
+// TestBinaryWindowRecoveryShipsNextBatch: when a full window has to be
+// recovered to make room, the batch that was waiting for the room is still
+// shipped — every sample ends in OnAck or OnError, none silently.
+func TestBinaryWindowRecoveryShipsNextBatch(t *testing.T) {
+	addr := binTestServer(t, func(string, []wire.Sample) wire.Ack {
+		return wire.Ack{Status: wire.StatusBacklog, Msg: "ingest backlog"}
+	})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	c := newTestClient(t, ts.URL, func(cfg *Config) { cfg.MaxAttempts = 1 })
+	var failed atomic.Int32
+	bi := c.NewIngester(IngesterConfig{
+		BinaryAddr: addr,
+		MaxBatch:   1,
+		OnAck:      func(*IngestResponse, []Sample) { t.Error("unexpected OnAck") },
+		OnError:    func(_ error, batch []Sample) { failed.Add(int32(len(batch))) },
+	})
+	const n = ingestWindow + 1
+	for i := 0; i < n; i++ {
+		if err := bi.Add(context.Background(), Sample{Stream: "bin/window", TS: int64(i + 1), Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bi.Flush(context.Background())
+	bi.Close()
+	if got := failed.Load(); got != n {
+		t.Fatalf("OnError accounted for %d of %d samples", got, n)
+	}
 }

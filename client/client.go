@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -254,7 +255,7 @@ func (c *Client) IngestFrom(ctx context.Context, source string, samples []Sample
 // Forecast fetches the stream's latest forecast document.
 func (c *Client) Forecast(ctx context.Context, stream string) (*ForecastResponse, error) {
 	var resp ForecastResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/forecast/"+stream, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/forecast/"+url.PathEscape(stream), nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -9,19 +9,39 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/acis-lab/larpredictor/internal/wire"
 )
 
 // ingestRecorder is a fake predictd that records every batch it acks and
-// can be told to fail the first N requests.
+// can be told to fail the first N requests. With binary set it also serves
+// the binary transport, failing with a Backlog ack where HTTP sends a 503.
 type ingestRecorder struct {
 	mu       sync.Mutex
 	batches  [][]Sample
 	failNext int
 	ts       *httptest.Server
+	binAddr  string
 }
 
-func newIngestRecorder(t *testing.T) *ingestRecorder {
+func newIngestRecorder(t *testing.T, binary bool) *ingestRecorder {
 	rec := &ingestRecorder{}
+	if binary {
+		rec.binAddr = binTestServer(t, func(_ string, samples []wire.Sample) wire.Ack {
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if rec.failNext > 0 {
+				rec.failNext--
+				return wire.Ack{Status: wire.StatusBacklog, Msg: "ingest backlog"}
+			}
+			batch := make([]Sample, len(samples))
+			for i, s := range samples {
+				batch[i] = Sample{Stream: s.Stream, TS: s.TS, Value: s.Value, Seq: s.Seq}
+			}
+			rec.batches = append(rec.batches, batch)
+			return wire.Ack{Status: wire.StatusOK, Accepted: len(samples)}
+		})
+	}
 	rec.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req IngestRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -54,13 +74,29 @@ func (rec *ingestRecorder) samples() []Sample {
 	return all
 }
 
+// forEachTransport runs test once with BinaryAddr empty (HTTP only) and
+// once with binary set, where batches travel the binary transport.
+func forEachTransport(t *testing.T, test func(t *testing.T, binary bool)) {
+	for _, binary := range []bool{false, true} {
+		name := "http"
+		if binary {
+			name = "binary"
+		}
+		t.Run(name, func(t *testing.T) { test(t, binary) })
+	}
+}
+
 // TestIngesterAssignsDistinctSeqs: Adds flow out batched, every sample
 // carrying a distinct monotonically-assigned seq, and Close flushes the
 // tail.
 func TestIngesterAssignsDistinctSeqs(t *testing.T) {
-	rec := newIngestRecorder(t)
+	forEachTransport(t, testIngesterAssignsDistinctSeqs)
+}
+
+func testIngesterAssignsDistinctSeqs(t *testing.T, binary bool) {
+	rec := newIngestRecorder(t, binary)
 	c := newTestClient(t, rec.ts.URL, nil)
-	ing := c.NewIngester(IngesterConfig{MaxBatch: 4, FlushInterval: time.Hour})
+	ing := c.NewIngester(IngesterConfig{BinaryAddr: rec.binAddr, MaxBatch: 4, FlushInterval: time.Hour})
 	const n = 10
 	for i := 0; i < n; i++ {
 		if err := ing.Add(context.Background(), Sample{Stream: "s", TS: int64(i), Value: float64(i)}); err != nil {
@@ -86,15 +122,21 @@ func TestIngesterAssignsDistinctSeqs(t *testing.T) {
 	}
 }
 
-// TestIngesterRetryKeepsSeqs: the first request fails with a 503; the
-// retried batch must carry the same seqs, so a WAL-mode server dedups it.
+// TestIngesterRetryKeepsSeqs: the first request fails (an HTTP 503 or a
+// binary Backlog ack); the retried batch must carry the same seqs, so a
+// WAL-mode server dedups it.
 func TestIngesterRetryKeepsSeqs(t *testing.T) {
-	rec := newIngestRecorder(t)
+	forEachTransport(t, testIngesterRetryKeepsSeqs)
+}
+
+func testIngesterRetryKeepsSeqs(t *testing.T, binary bool) {
+	rec := newIngestRecorder(t, binary)
 	rec.failNext = 1
 	c := newTestClient(t, rec.ts.URL, nil)
 	var acked [][]Sample
 	var mu sync.Mutex
 	ing := c.NewIngester(IngesterConfig{
+		BinaryAddr:    rec.binAddr,
 		MaxBatch:      8,
 		FlushInterval: time.Hour,
 		OnAck: func(_ *IngestResponse, batch []Sample) {
@@ -133,13 +175,24 @@ func TestIngesterRetryKeepsSeqs(t *testing.T) {
 // TestIngesterOnErrorHandsBackBatch: when retries are exhausted the batch —
 // keys intact — is handed to OnError for the caller to re-submit.
 func TestIngesterOnErrorHandsBackBatch(t *testing.T) {
+	forEachTransport(t, testIngesterOnErrorHandsBackBatch)
+}
+
+func testIngesterOnErrorHandsBackBatch(t *testing.T, binary bool) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
+	var binAddr string
+	if binary {
+		binAddr = binTestServer(t, func(string, []wire.Sample) wire.Ack {
+			return wire.Ack{Status: wire.StatusBacklog, Msg: "ingest backlog"}
+		})
+	}
 	c := newTestClient(t, ts.URL, func(cfg *Config) { cfg.MaxAttempts = 2 })
 	errs := make(chan []Sample, 1)
 	ing := c.NewIngester(IngesterConfig{
+		BinaryAddr:    binAddr,
 		MaxBatch:      1,
 		FlushInterval: time.Hour,
 		OnError:       func(_ error, batch []Sample) { errs <- append([]Sample(nil), batch...) },
@@ -148,6 +201,8 @@ func TestIngesterOnErrorHandsBackBatch(t *testing.T) {
 	if err := ing.Add(context.Background(), Sample{Stream: "s", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// A pipelined frame's outcome is only known once it settles.
+	ing.Flush(context.Background())
 	select {
 	case batch := <-errs:
 		if len(batch) != 1 || batch[0].Seq != 1 {
@@ -161,9 +216,13 @@ func TestIngesterOnErrorHandsBackBatch(t *testing.T) {
 // TestIngesterPeriodicFlush: without reaching MaxBatch, the interval alone
 // pushes samples out.
 func TestIngesterPeriodicFlush(t *testing.T) {
-	rec := newIngestRecorder(t)
+	forEachTransport(t, testIngesterPeriodicFlush)
+}
+
+func testIngesterPeriodicFlush(t *testing.T, binary bool) {
+	rec := newIngestRecorder(t, binary)
 	c := newTestClient(t, rec.ts.URL, nil)
-	ing := c.NewIngester(IngesterConfig{MaxBatch: 1000, FlushInterval: 10 * time.Millisecond})
+	ing := c.NewIngester(IngesterConfig{BinaryAddr: rec.binAddr, MaxBatch: 1000, FlushInterval: 10 * time.Millisecond})
 	defer ing.Close()
 	if err := ing.Add(context.Background(), Sample{Stream: "s", Value: 1}); err != nil {
 		t.Fatal(err)
@@ -176,4 +235,69 @@ func TestIngesterPeriodicFlush(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("periodic flush never fired")
+}
+
+// TestIngesterFlushReportsRejection: a batch the server rejects as invalid
+// (HTTP 400, binary StatusInvalid) goes to OnError and is the error Flush
+// returns, on either transport.
+func TestIngesterFlushReportsRejection(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, binary bool) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, `{"error":{"code":"bad_sample","message":"non-finite value"}}`)
+		}))
+		defer ts.Close()
+		var binAddr string
+		if binary {
+			binAddr = binTestServer(t, func(string, []wire.Sample) wire.Ack {
+				return wire.Ack{Status: wire.StatusInvalid, Msg: "non-finite value"}
+			})
+		}
+		c := newTestClient(t, ts.URL, nil)
+		var rejected []error
+		ing := c.NewIngester(IngesterConfig{
+			BinaryAddr:    binAddr,
+			MaxBatch:      8,
+			FlushInterval: time.Hour,
+			OnError:       func(err error, _ []Sample) { rejected = append(rejected, err) },
+		})
+		defer ing.Close()
+		if err := ing.Add(context.Background(), Sample{Stream: "s", Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+		err := ing.Flush(context.Background())
+		if err == nil {
+			t.Fatal("Flush = nil after the server rejected the batch")
+		}
+		if len(rejected) != 1 || rejected[0] != err {
+			t.Fatalf("OnError saw %v, Flush returned %v", rejected, err)
+		}
+	})
+}
+
+// TestIngesterWithoutBinaryAddrNeverDials: an HTTP-only Ingester ships every
+// batch over HTTP and never tries the binary transport, not even once to
+// fall back from it.
+func TestIngesterWithoutBinaryAddrNeverDials(t *testing.T) {
+	ts, hits, httpSamples := httpIngestServer(t)
+	c := binTestClient(t, ts.URL, 1)
+	ing := c.NewIngester(IngesterConfig{
+		MaxBatch:   2,
+		OnFallback: func(err error) { t.Errorf("fallback from an unconfigured binary transport: %v", err) },
+	})
+	for i := 0; i < 5; i++ {
+		if err := ing.Add(context.Background(), Sample{Stream: "http/only", TS: int64(i + 1), Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ing.Close()
+	if hits.Load() != 3 || len(httpSamples()) != 5 {
+		t.Fatalf("HTTP served %d requests with %d samples, want 3 with 5", hits.Load(), len(httpSamples()))
+	}
+	if ing.conn != nil || !ing.probeAt.IsZero() {
+		t.Fatal("HTTP-only ingester dialed the binary transport")
+	}
 }

@@ -99,7 +99,7 @@ func (c *Client) History(ctx context.Context, stream string, opt HistoryQuery) (
 	if opt.Limit > 0 {
 		q.Set("limit", fmt.Sprint(opt.Limit))
 	}
-	path := "/v1/forecast/" + stream + "/history"
+	path := "/v1/forecast/" + url.PathEscape(stream) + "/history"
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}

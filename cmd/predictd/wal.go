@@ -52,7 +52,6 @@ type walLog interface {
 	Append(payload []byte) error
 	Sync() error
 	TruncateRecords(keep int) error
-	Reset() error
 	Close() error
 }
 
@@ -268,9 +267,6 @@ func (ws *walStore) replay(eng *engine.Engine, logw io.Writer) (records, samples
 	return records, samples, nil
 }
 
-// truncate resets the WAL after a completed snapshot. Callers hold mu.Lock.
-func (ws *walStore) truncate() error { return ws.wal.Reset() }
-
 // snapshot captures a coherent snapshot+WAL pair. With new commits held
 // out by the exclusive lock, the engine is drained so every WAL-covered
 // sample is reflected in predictor state, the snapshot (including the
@@ -291,7 +287,7 @@ func (ws *walStore) snapshot(st *snapStore, eng *engine.Engine, cache *server.Re
 	if err := st.save(eng, cache, hist, ws.dedup); err != nil {
 		return err
 	}
-	return ws.truncate()
+	return ws.wal.TruncateRecords(0)
 }
 
 // close syncs and closes the log.

@@ -25,9 +25,10 @@
 //	go run ./cmd/predictd -listen :8100 -binary-listen :8200 &
 //	go run ./examples/predictclient -addr http://localhost:8100 -binary localhost:8200
 //
-// The BinaryIngester keeps the same idempotency keys and falls back to the
-// HTTP transport (resending the very same batches) if the binary listener
-// goes away, so durability semantics are identical on both paths.
+// The same Ingester ships either way: -binary only sets its BinaryAddr. It
+// keeps the same idempotency keys and falls back to the HTTP transport
+// (resending the very same batches) if the binary listener goes away, so
+// durability semantics are identical on both paths.
 package main
 
 import (
@@ -106,37 +107,19 @@ func main() {
 	// The Ingester batches, retries, and keys every sample; Add blocks only
 	// when the daemon falls behind. Backpressure (429/503 + Retry-After)
 	// and transient failures are absorbed by the client's retry loop. With
-	// -binary, the BinaryIngester does the same job over the framed wire
-	// protocol, pipelining frames and falling back to HTTP if it fails.
-	type ingester interface {
-		Add(ctx context.Context, s client.Sample) error
-		Close() error
-	}
-	var ing ingester
-	onError := func(err error, batch []client.Sample) {
-		log.Printf("batch of %d gave up: %v", len(batch), err)
-	}
-	if *binary != "" {
-		bing, err := c.NewBinaryIngester(client.BinaryIngesterConfig{
-			Addr:          *binary,
-			MaxBatch:      32,
-			FlushInterval: 100 * time.Millisecond,
-			OnError:       onError,
-			OnFallback: func(err error) {
-				log.Printf("binary transport unavailable, using HTTP: %v", err)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ing = bing
-	} else {
-		ing = c.NewIngester(client.IngesterConfig{
-			MaxBatch:      32,
-			FlushInterval: 100 * time.Millisecond,
-			OnError:       onError,
-		})
-	}
+	// -binary, batches are pipelined over the framed wire protocol instead,
+	// falling back to HTTP if it fails.
+	ing := c.NewIngester(client.IngesterConfig{
+		BinaryAddr:    *binary,
+		MaxBatch:      32,
+		FlushInterval: 100 * time.Millisecond,
+		OnError: func(err error, batch []client.Sample) {
+			log.Printf("batch of %d gave up: %v", len(batch), err)
+		},
+		OnFallback: func(err error) {
+			log.Printf("binary transport unavailable, using HTTP: %v", err)
+		},
+	})
 	sent := 0
 	for i, v := range series.Values {
 		if err := ing.Add(ctx, client.Sample{Stream: *stream, TS: int64(i), Value: v}); err != nil {

@@ -311,6 +311,36 @@ func TestClusterReadRoles(t *testing.T) {
 	}
 }
 
+// TestClusterProxyForecastEscapesStreamIDs: a proxied read fetches exactly
+// the stream it names from the peer's server, whatever URL metacharacters
+// the ID holds. The decoys are what an unescaped "cpu?x" and "cpu%41" would
+// fetch instead — another stream's forecast.
+func TestClusterProxyForecastEscapesStreamIDs(t *testing.T) {
+	nodes := startTestCluster(t, 2, 1)
+	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec"}
+	var samples []engine.Sample
+	for i, id := range append(append([]string(nil), ids...), "cpu", "cpuA") {
+		samples = append(samples, engine.Sample{ID: id, TS: 1, Value: float64(i)})
+	}
+	if _, err := nodes[1].eng.IngestBatch(samples); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].eng.Drain()
+	for i, id := range ids {
+		body, err := nodes[0].node.ProxyForecast(context.Background(), nodes[1].id, id)
+		if err != nil {
+			t.Fatalf("ProxyForecast(%q): %v", id, err)
+		}
+		var doc server.ForecastResponse
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Stream != id || doc.LastValue != float64(i) {
+			t.Errorf("ProxyForecast(%q) served stream %q with last value %v", id, doc.Stream, doc.LastValue)
+		}
+	}
+}
+
 // TestClusterFailover kills a stream's owner and asserts the next member in
 // rendezvous order takes over ingest and reads without losing samples.
 func TestClusterFailover(t *testing.T) {
@@ -331,9 +361,13 @@ func TestClusterFailover(t *testing.T) {
 	})
 
 	byID["n1"].stop(t)
-	waitFor(t, 5*time.Second, "n0 to confirm n1 down", func() bool {
-		return byID["n0"].node.routeOwner(stream) == "n2"
-	})
+	// Each detector confirms n1 down on its own schedule; n2 serves the
+	// stream as owner only once its own detector has.
+	for _, id := range []string{"n0", "n2"} {
+		waitFor(t, 5*time.Second, id+" to confirm n1 down", func() bool {
+			return byID[id].node.routeOwner(stream) == "n2"
+		})
+	}
 
 	// Ingest at n0 now forwards to the promoted owner n2.
 	resp = ingestKeyed(t, byID["n0"].addr, "src-F", stream, 6, []float64{6, 7, 8})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -443,7 +444,7 @@ func (n *Node) ProxyForecast(ctx context.Context, peer, stream string) ([]byte, 
 		return nil, fmt.Errorf("cluster: proxy to unknown peer %q", peer)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/v1/forecast/"+stream, nil)
+		"http://"+addr+"/v1/forecast/"+url.PathEscape(stream), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -32,12 +32,11 @@ const MaxBatchRecord = 16 << 20
 
 // BatchWAL is an append-only log of opaque batch payloads. Appends are
 // buffered by the OS; Sync makes everything appended so far durable. Callers
-// serialize Append, TruncateRecords and Reset (predictd holds its commit
-// lock across Append); Sync may run concurrently with Append, and covers at
+// serialize Append and TruncateRecords (predictd holds its commit lock
+// across Append); Sync may run concurrently with Append, and covers at
 // least every record whose Append returned before it was called.
 type BatchWAL struct {
-	f    *os.File
-	path string
+	f *os.File
 	// ends[i] is the file offset just past record i, so a reader that finds
 	// record i undecodable can truncate back to the last decodable one.
 	ends []int64
@@ -75,7 +74,7 @@ func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err
 		if err = f.Sync(); err != nil {
 			return nil, nil, 0, fmt.Errorf("durable: sync batch WAL header: %w", err)
 		}
-		return &BatchWAL{f: f, path: path}, nil, 0, nil
+		return &BatchWAL{f: f}, nil, 0, nil
 	}
 
 	var magic [8]byte
@@ -87,7 +86,7 @@ func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err
 	if _, err = io.ReadFull(f, data); err != nil {
 		return nil, nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
 	}
-	w = &BatchWAL{f: f, path: path}
+	w = &BatchWAL{f: f}
 	good := 0
 	for {
 		payload, rest, ok := SplitRecord(data[good:], MaxBatchRecord)
@@ -115,12 +114,6 @@ func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err
 	}
 	return w, recs, truncated, nil
 }
-
-// Path returns the log's file path.
-func (w *BatchWAL) Path() string { return w.path }
-
-// Records reports how many intact records the log currently holds.
-func (w *BatchWAL) Records() int { return len(w.ends) }
 
 // Append writes one record. The record is durable only after the next Sync.
 func (w *BatchWAL) Append(payload []byte) error {
@@ -156,6 +149,8 @@ func (w *BatchWAL) Sync() error {
 // recovery path for a record whose checksum verifies but whose payload no
 // longer decodes (a format change or deeper corruption): truncate back to
 // the last usable record and carry on, exactly like a torn tail.
+// TruncateRecords(0) keeps only the header — called after a snapshot has
+// captured everything the log was protecting.
 func (w *BatchWAL) TruncateRecords(keep int) error {
 	if keep < 0 || keep > len(w.ends) {
 		return fmt.Errorf("durable: truncate to %d of %d records", keep, len(w.ends))
@@ -174,15 +169,6 @@ func (w *BatchWAL) TruncateRecords(keep int) error {
 		return fmt.Errorf("durable: sync truncated batch WAL: %w", err)
 	}
 	w.ends = w.ends[:keep]
-	return nil
-}
-
-// Reset discards all records, keeping the header — called after a snapshot
-// has captured everything the log was protecting.
-func (w *BatchWAL) Reset() error {
-	if err := w.TruncateRecords(0); err != nil {
-		return err
-	}
 	return nil
 }
 

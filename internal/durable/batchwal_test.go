@@ -32,8 +32,8 @@ func TestBatchWALRoundTrip(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != len(payloads) {
-		t.Errorf("Records() = %d, want %d", w.Records(), len(payloads))
+	if len(w.ends) != len(payloads) {
+		t.Errorf("%d records, want %d", len(w.ends), len(payloads))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestBatchWALResetAndTruncateRecords(t *testing.T) {
 	if err := w.TruncateRecords(2); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 2 {
-		t.Fatalf("after TruncateRecords(2): %d records", w.Records())
+	if len(w.ends) != 2 {
+		t.Fatalf("after TruncateRecords(2): %d records", len(w.ends))
 	}
 	if err := w.Append([]byte("new")); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestBatchWALResetAndTruncateRecords(t *testing.T) {
 	}
 
 	w2, _, _ := openBatch(t, path)
-	if err := w2.Reset(); err != nil {
+	if err := w2.TruncateRecords(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Append([]byte("only")); err != nil {

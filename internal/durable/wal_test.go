@@ -214,7 +214,7 @@ func TestWALReset(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		appendObs(t, w, obs{TS: int64(i), Value: 1})
 	}
-	if err := w.Reset(); err != nil {
+	if err := w.TruncateRecords(0); err != nil {
 		t.Fatal(err)
 	}
 	// Records appended after a reset are the only ones replayed.

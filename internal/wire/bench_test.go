@@ -208,7 +208,8 @@ func BenchmarkIngestBinaryVsJSON(b *testing.B) {
 		defer conn.Close()
 
 		// The collector settles acks in send order while the send loop keeps
-		// the window full — the pipelining a BinaryIngester client does.
+		// the window full — the pipelining a client Ingester with a
+		// BinaryAddr does.
 		type sent struct {
 			p  *wire.Pending
 			t0 time.Time
