@@ -201,8 +201,14 @@ func testIngesterOnErrorHandsBackBatch(t *testing.T, binary bool) {
 	if err := ing.Add(context.Background(), Sample{Stream: "s", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// A pipelined frame's outcome is only known once it settles.
-	ing.Flush(context.Background())
+	// Over HTTP a full batch ships and fails on its own, with no barrier. A
+	// pipelined frame's outcome is only known once it settles, and the
+	// give-up is then the error Flush returns.
+	if binary {
+		if err := ing.Flush(context.Background()); err == nil {
+			t.Error("Flush returned nil after the batch was given up on")
+		}
+	}
 	select {
 	case batch := <-errs:
 		if len(batch) != 1 || batch[0].Seq != 1 {
