@@ -40,10 +40,10 @@ fuzz-wire:
 
 # Kill-and-restart durability tests: crash mid-run, warm restart, and
 # require bit-identical results versus an uninterrupted run (monitord), or
-# identical served forecasts across a drain/restart cycle and WAL replay
-# after kill -9 (predictd).
+# identical served forecasts across a drain/restart cycle, WAL replay, history
+# and SSE resume after kill -9, and every snapshot restore path (predictd).
 crash-test:
-	$(GO) test -v -run 'Crash|Corrupt|Fingerprint|Extends' ./cmd/monitord ./cmd/predictd
+	$(GO) test -v -run 'Crash|Corrupt|Fingerprint|Extends|Kill9|AcrossRestart|Snapshot' ./cmd/monitord ./cmd/predictd
 
 # End-to-end chaos soak: keyed ingest through the fault-injecting proxy at
 # a WAL-mode predictd that is kill -9'd and restarted mid-stream; passes

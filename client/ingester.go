@@ -202,7 +202,10 @@ func (ing *Ingester) run() {
 		case s := <-ing.in:
 			ing.add(s)
 		case <-ticker.C:
+			// Settle what is in flight too, so a pipelined batch's outcome
+			// is reported within an interval, not at the next full window.
 			ing.send()
+			ing.recoverAll(ing.takeUnsettled())
 		case res := <-ing.flushes:
 			res <- ing.drain()
 		}
@@ -244,7 +247,8 @@ func (ing *Ingester) drain() error {
 
 // ship sends one batch, pipelining over the binary transport when it is
 // configured and up and going through HTTP otherwise. A pipelined batch's
-// outcome surfaces at the next settle point.
+// outcome surfaces at the next settle point: a full window, a FlushInterval
+// tick, Flush or Close.
 func (ing *Ingester) ship(batch []Sample) {
 	if ing.cfg.BinaryAddr == "" {
 		ing.shipHTTP(batch)

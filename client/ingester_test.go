@@ -220,7 +220,7 @@ func testIngesterOnErrorHandsBackBatch(t *testing.T, binary bool) {
 }
 
 // TestIngesterPeriodicFlush: without reaching MaxBatch, the interval alone
-// pushes samples out.
+// pushes samples out and reports the batch's ack.
 func TestIngesterPeriodicFlush(t *testing.T) {
 	forEachTransport(t, testIngesterPeriodicFlush)
 }
@@ -228,19 +228,32 @@ func TestIngesterPeriodicFlush(t *testing.T) {
 func testIngesterPeriodicFlush(t *testing.T, binary bool) {
 	rec := newIngestRecorder(t, binary)
 	c := newTestClient(t, rec.ts.URL, nil)
-	ing := c.NewIngester(IngesterConfig{BinaryAddr: rec.binAddr, MaxBatch: 1000, FlushInterval: 10 * time.Millisecond})
+	acked := make(chan []Sample, 1)
+	ing := c.NewIngester(IngesterConfig{
+		BinaryAddr:    rec.binAddr,
+		MaxBatch:      1000,
+		FlushInterval: 10 * time.Millisecond,
+		OnAck:         func(_ *IngestResponse, batch []Sample) { acked <- batch },
+	})
 	defer ing.Close()
 	if err := ing.Add(context.Background(), Sample{Stream: "s", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(rec.samples()) == 1 {
-			return
+	for len(rec.samples()) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("periodic flush never fired")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("periodic flush never fired")
+	select {
+	case batch := <-acked:
+		if len(batch) != 1 || batch[0].Stream != "s" {
+			t.Errorf("OnAck batch = %+v", batch)
+		}
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("the periodically flushed batch was never acked")
+	}
 }
 
 // TestIngesterFlushReportsRejection: a batch the server rejects as invalid

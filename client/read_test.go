@@ -13,10 +13,11 @@ import (
 // TestReadsEscapeStreamIDs: Forecast and History reach exactly the stream
 // they name through a real server's {stream...} route, whatever URL
 // metacharacters the ID holds. The decoys are what an unescaped "cpu?x"
-// and "cpu%41" would fetch instead.
+// and "cpu%41" would fetch instead, and the stream whose history path
+// "x/history" would read as.
 func TestReadsEscapeStreamIDs(t *testing.T) {
-	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec"}
-	decoys := []string{"cpu", "cpuA"}
+	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec", "x/history"}
+	decoys := []string{"cpu", "cpuA", "x"}
 	cache := server.NewResultCache()
 	hist, err := server.NewHistoryStore(server.HistoryConfig{})
 	if err != nil {

@@ -52,51 +52,31 @@ import (
 )
 
 func main() {
-	var (
-		seed      = flag.Int64("seed", 2007, "workload seed")
-		duration  = flag.Duration("duration", 24*time.Hour, "simulated monitoring duration")
-		vmsFlag   = flag.String("vms", "VM2,VM3,VM4,VM5", "comma-separated VMs to monitor")
-		window    = flag.Int("window", 5, "prediction window size m")
-		train     = flag.Int("train", 60, "consolidated samples before initial training")
-		audit     = flag.Int("audit", 12, "QA audit window (scored predictions)")
-		thresh    = flag.Float64("threshold", 2.0, "QA normalized-MSE retrain threshold")
-		quiet     = flag.Bool("quiet", false, "suppress per-hour progress")
-		listen    = flag.String("listen", "", "serve the JSON status endpoint (/) and Prometheus /metrics on this address (e.g. :8080) while running")
-		pprofOn   = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on the status address")
-		faultSpec = flag.String("faults", "", "fault-injection spec, e.g. 'spike:p=0.02,mag=40,on=VM3/*;dropout:p=0.05' (see internal/faults)")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
-		cooldown  = flag.Duration("cooldown", 2*time.Hour, "simulated quarantine before restarting a panicked or Failed pipeline")
-		stateDir  = flag.String("state", "", "state directory for durable snapshots (a restart re-simulates from the last one); empty runs stateless")
-		snapEvery = flag.Duration("snapshot-every", 6*time.Hour, "simulated interval between durable snapshots")
-		shards    = flag.Int("shards", 0, "prediction-engine shards (0 = one per CPU)")
-		backpress = flag.String("backpressure", "block", "engine ingest policy when a shard queue fills: block, drop-oldest, or reject")
-	)
+	var o options
+	var vms string
+	flag.Int64Var(&o.seed, "seed", 2007, "workload seed")
+	flag.DurationVar(&o.duration, "duration", 24*time.Hour, "simulated monitoring duration")
+	flag.StringVar(&vms, "vms", "VM2,VM3,VM4,VM5", "comma-separated VMs to monitor")
+	flag.IntVar(&o.window, "window", 5, "prediction window size m")
+	flag.IntVar(&o.trainSize, "train", 60, "consolidated samples before initial training")
+	flag.IntVar(&o.auditWin, "audit", 12, "QA audit window (scored predictions)")
+	flag.Float64Var(&o.threshold, "threshold", 2.0, "QA normalized-MSE retrain threshold")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-hour progress")
+	flag.StringVar(&o.listen, "listen", "", "serve the JSON status endpoint (/) and Prometheus /metrics on this address (e.g. :8080) while running")
+	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof under /debug/pprof/ on the status address")
+	flag.StringVar(&o.faultSpec, "faults", "", "fault-injection spec, e.g. 'spike:p=0.02,mag=40,on=VM3/*;dropout:p=0.05' (see internal/faults)")
+	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault schedule")
+	flag.DurationVar(&o.cooldown, "cooldown", 2*time.Hour, "simulated quarantine before restarting a panicked or Failed pipeline")
+	flag.StringVar(&o.stateDir, "state", "", "state directory for durable snapshots (a restart re-simulates from the last one); empty runs stateless")
+	flag.DurationVar(&o.snapEvery, "snapshot-every", 6*time.Hour, "simulated interval between durable snapshots")
+	flag.IntVar(&o.shards, "shards", 0, "prediction-engine shards (0 = one per CPU)")
+	flag.StringVar(&o.backpressure, "backpressure", "block", "engine ingest policy when a shard queue fills: block, drop-oldest, or reject")
 	flag.Parse()
 
-	var vms []vmtrace.VMID
-	for _, v := range strings.Split(*vmsFlag, ",") {
-		vms = append(vms, vmtrace.VMID(strings.TrimSpace(v)))
+	for _, v := range strings.Split(vms, ",") {
+		o.vms = append(o.vms, vmtrace.VMID(strings.TrimSpace(v)))
 	}
-	opts := options{
-		seed:         *seed,
-		duration:     *duration,
-		vms:          vms,
-		window:       *window,
-		trainSize:    *train,
-		auditWin:     *audit,
-		threshold:    *thresh,
-		quiet:        *quiet,
-		listen:       *listen,
-		pprof:        *pprofOn,
-		faultSpec:    *faultSpec,
-		faultSeed:    *faultSeed,
-		cooldown:     *cooldown,
-		stateDir:     *stateDir,
-		snapEvery:    *snapEvery,
-		shards:       *shards,
-		backpressure: *backpress,
-	}
-	if _, err := run(os.Stdout, opts); err != nil {
+	if _, err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "monitord:", err)
 		os.Exit(1)
 	}
@@ -376,11 +356,9 @@ func run(out io.Writer, o options) (*runSummary, error) {
 	// The sharded engine drives every pipeline's hot path: rows enqueue to
 	// the owning shard, whose worker steps the predictor and runs the feed
 	// bookkeeping below.
-	policy := engine.Block
-	if o.backpressure != "" {
-		if policy, err = engine.ParsePolicy(o.backpressure); err != nil {
-			return nil, err
-		}
+	policy, err := engine.ParsePolicy(o.backpressure)
+	if err != nil {
+		return nil, err
 	}
 	eng, err := engine.New(engine.Config{
 		Shards:  o.shards,

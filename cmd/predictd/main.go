@@ -47,71 +47,41 @@ import (
 )
 
 func main() {
-	var (
-		listen     = flag.String("listen", ":8100", "HTTP listen address")
-		binListen  = flag.String("binary-listen", "", "binary ingest listen address (framed wire protocol); empty disables it")
-		shards     = flag.Int("shards", 0, "prediction-engine shards (0 = one per CPU)")
-		queueDepth = flag.Int("queue-depth", 1024, "per-shard ingest queue depth")
-		maxBatch   = flag.Int("max-batch", 0, "max samples a shard worker steps per drain (0 = engine default)")
-		backpress  = flag.String("backpressure", "block", "ingest policy when a shard queue fills: block, drop-oldest, or reject")
-		window     = flag.Int("window", 5, "prediction window size m")
-		train      = flag.Int("train", 60, "samples before initial training")
-		audit      = flag.Int("audit", 12, "QA audit window (scored predictions)")
-		thresh     = flag.Float64("threshold", 2.0, "QA normalized-MSE retrain threshold")
-		tourney    = flag.Bool("tournament", true, "enable the tournament meta-selector tier between the trained model and the windowed-MSE selector")
-		drift      = flag.Bool("drift", true, "enable proactive drift demotion to the tournament tier (requires -tournament)")
-		stateDir   = flag.String("state", "", "state directory for durable snapshots; empty runs stateless")
-		snapEvery  = flag.Duration("snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
-		durability = flag.String("durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
-		inflight   = flag.Int("max-inflight", 256, "max concurrently served /v1 requests before shedding with 503")
-		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout")
-		maxBody    = flag.Int64("max-body", 1<<20, "max ingest request body bytes")
+	var o options
+	flag.StringVar(&o.listen, "listen", ":8100", "HTTP listen address")
+	flag.StringVar(&o.binaryListen, "binary-listen", "", "binary ingest listen address (framed wire protocol); empty disables it")
+	flag.IntVar(&o.shards, "shards", 0, "prediction-engine shards (0 = one per CPU)")
+	flag.IntVar(&o.queueDepth, "queue-depth", 1024, "per-shard ingest queue depth")
+	flag.IntVar(&o.maxBatch, "max-batch", 0, "max samples a shard worker steps per drain (0 = engine default)")
+	flag.StringVar(&o.backpressure, "backpressure", "block", "ingest policy when a shard queue fills: block, drop-oldest, or reject")
+	flag.IntVar(&o.window, "window", 5, "prediction window size m")
+	flag.IntVar(&o.trainSize, "train", 60, "samples before initial training")
+	flag.IntVar(&o.auditWin, "audit", 12, "QA audit window (scored predictions)")
+	flag.Float64Var(&o.threshold, "threshold", 2.0, "QA normalized-MSE retrain threshold")
+	flag.BoolVar(&o.tournament, "tournament", true, "enable the tournament meta-selector tier between the trained model and the windowed-MSE selector")
+	flag.BoolVar(&o.drift, "drift", true, "enable proactive drift demotion to the tournament tier (requires -tournament)")
+	flag.StringVar(&o.stateDir, "state", "", "state directory for durable snapshots; empty runs stateless")
+	flag.DurationVar(&o.snapEvery, "snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
+	flag.StringVar(&o.durability, "durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
+	flag.IntVar(&o.maxInFlight, "max-inflight", 256, "max concurrently served /v1 requests before shedding with 503")
+	flag.DurationVar(&o.reqTimeout, "request-timeout", 10*time.Second, "per-request handler timeout")
+	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "max ingest request body bytes")
 
-		historyRaw   = flag.Int("history-raw", 512, "per-stream raw forecast-history ring size in samples")
-		historyTiers = flag.String("history-tiers", "", "consolidated history tiers as stepsxrows,... (e.g. 16x360,256x360); empty uses the defaults")
-		bulkStreams  = flag.Int("max-bulk-streams", 256, "max streams one bulk forecast or subscribe request may name")
+	flag.IntVar(&o.historyRaw, "history-raw", 512, "per-stream raw forecast-history ring size in samples")
+	flag.StringVar(&o.historyTiers, "history-tiers", "", "consolidated history tiers as stepsxrows,... (e.g. 16x360,256x360); empty uses the defaults")
+	flag.IntVar(&o.bulkStreams, "max-bulk-streams", 256, "max streams one bulk forecast or subscribe request may name")
 
-		nodeID      = flag.String("node-id", "", "this node's cluster member ID; empty runs standalone")
-		peers       = flag.String("peers", "", "static cluster membership as id=host:port,... (must include -node-id's entry)")
-		replication = flag.Int("replication", 2, "copies of each stream across the cluster (owner + replication-1 followers)")
-		hbEvery     = flag.Duration("heartbeat-every", 500*time.Millisecond, "cluster heartbeat probe interval")
-		suspectN    = flag.Int("suspect-after", 3, "consecutive missed heartbeats before a peer is suspected")
-		downAfter   = flag.Duration("down-after", 2*time.Second, "time a peer stays suspect before it is confirmed down")
-	)
+	flag.StringVar(&o.nodeID, "node-id", "", "this node's cluster member ID; empty runs standalone")
+	flag.StringVar(&o.peers, "peers", "", "static cluster membership as id=host:port,... (must include -node-id's entry)")
+	flag.IntVar(&o.replication, "replication", 2, "copies of each stream across the cluster (owner + replication-1 followers)")
+	flag.DurationVar(&o.hbEvery, "heartbeat-every", 500*time.Millisecond, "cluster heartbeat probe interval")
+	flag.IntVar(&o.suspectAfter, "suspect-after", 3, "consecutive missed heartbeats before a peer is suspected")
+	flag.DurationVar(&o.downAfter, "down-after", 2*time.Second, "time a peer stays suspect before it is confirmed down")
 	flag.Parse()
 
-	opts := options{
-		listen:       *listen,
-		binaryListen: *binListen,
-		shards:       *shards,
-		queueDepth:   *queueDepth,
-		maxBatch:     *maxBatch,
-		backpressure: *backpress,
-		window:       *window,
-		trainSize:    *train,
-		auditWin:     *audit,
-		threshold:    *thresh,
-		tournament:   *tourney,
-		drift:        *drift,
-		stateDir:     *stateDir,
-		snapEvery:    *snapEvery,
-		durability:   *durability,
-		maxInFlight:  *inflight,
-		reqTimeout:   *reqTimeout,
-		maxBody:      *maxBody,
-		historyRaw:   *historyRaw,
-		historyTiers: *historyTiers,
-		bulkStreams:  *bulkStreams,
-		nodeID:       *nodeID,
-		peers:        *peers,
-		replication:  *replication,
-		hbEvery:      *hbEvery,
-		suspectAfter: *suspectN,
-		downAfter:    *downAfter,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Stdout, opts); err != nil {
+	if err := run(ctx, os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "predictd:", err)
 		os.Exit(1)
 	}
@@ -186,24 +156,11 @@ func parseHistoryTiers(s string) ([]server.HistoryTier, error) {
 	return tiers, nil
 }
 
-func parsePolicy(s string) (engine.Policy, error) {
-	switch s {
-	case "block", "":
-		return engine.Block, nil
-	case "drop-oldest":
-		return engine.DropOldest, nil
-	case "reject":
-		return engine.Reject, nil
-	default:
-		return 0, fmt.Errorf("unknown backpressure policy %q (want block, drop-oldest, or reject)", s)
-	}
-}
-
 // run assembles cache, engine, durable store, and HTTP server, then serves
 // until ctx is cancelled and performs the graceful drain: stop accepting,
 // drain the engine, snapshot, close. It returns nil after a clean shutdown.
 func run(ctx context.Context, out io.Writer, o options) error {
-	policy, err := parsePolicy(o.backpressure)
+	policy, err := engine.ParsePolicy(o.backpressure)
 	if err != nil {
 		return err
 	}
@@ -324,7 +281,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		if ws != nil {
 			dedup = ws.dedup
 		}
-		restored, rerr := st.restore(eng, cache, hist, newStream, dedup, os.Stderr)
+		restored, rerr := st.restore(eng, cache, hist, dedup, os.Stderr)
 		if rerr != nil {
 			return rerr
 		}
@@ -347,7 +304,6 @@ func run(ctx context.Context, out io.Writer, o options) error {
 				Engine:         eng,
 				Cache:          cache,
 				Dedup:          ws.dedup,
-				NewStream:      newStream,
 				History:        hist,
 				Registry:       reg,
 				Logw:           os.Stderr,

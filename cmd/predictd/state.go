@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/acis-lab/larpredictor/internal/core"
 	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/obs"
@@ -53,24 +52,11 @@ type snapHeader struct {
 	Streams int
 }
 
-// snapRecord is one stream's entry in the snapshot. State is a named field:
-// gob would silently drop an embedded unexported struct.
+// snapRecord is one stream's entry in the snapshot. Its field names are the
+// file format: gob matches fields by name.
 type snapRecord struct {
 	ID    string
-	State streamState
-}
-
-// streamState is one stream's persisted state: the core codec's framed
-// predictor bytes plus the serving snapshot (latest observation + forecast)
-// so a restarted daemon answers GET /v1/forecast before any new sample, and
-// the forecast-history rings so range queries and feed resume cursors
-// survive the restart too. History is absent in pre-history snapshots (gob
-// leaves it zero) and ignored by older binaries — the field is
-// backward-compatible in both directions.
-type streamState struct {
-	Online  []byte
-	Cache   server.Snapshot
-	History server.HistoryState
+	State server.StreamState
 }
 
 // snapStore owns a predictd state directory.
@@ -113,12 +99,11 @@ func openSnapStore(dir, fingerprint string, reg *obs.Registry) (*snapStore, erro
 
 func (st *snapStore) path() string { return filepath.Join(st.dir, "predictd.snap") }
 
-// save captures every stream's predictor state and serving snapshot and
-// writes one atomic checksummed file, one stream at a time: each stream is
-// captured into a reused buffer, then encoded and written outside its shard
-// lock. dedup, when non-nil, is the idempotency table to persist alongside
-// (WAL mode); hist, when non-nil, contributes each stream's
-// forecast-history state.
+// save captures every stream's state (server.CaptureStream) and writes one
+// atomic checksummed file, one stream at a time: each stream is captured
+// into a reused buffer, then encoded and written outside its shard lock.
+// dedup, when non-nil, is the idempotency table to persist alongside (WAL
+// mode).
 func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 	hist *server.HistoryStore, dedup *server.Dedup) error {
 	hdr := snapHeader{Fingerprint: st.fingerprint}
@@ -140,11 +125,11 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 		}
 		var online bytes.Buffer
 		for _, id := range ids {
-			rec, err := captureStream(eng, cache, hist, id, &online)
+			state, err := server.CaptureStream(eng, cache, hist, id, &online)
 			if err != nil {
-				return err
+				return fmt.Errorf("save: %w", err)
 			}
-			if err := enc.Encode(&rec); err != nil {
+			if err := enc.Encode(&snapRecord{ID: id, State: state}); err != nil {
 				return fmt.Errorf("encode %s: %w", id, err)
 			}
 		}
@@ -160,49 +145,17 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 	return nil
 }
 
-// captureStream reads one stream's persisted state inside eng.Do, which
-// holds the stream's shard lock: the predictor bytes, the cache entry, and
-// the history rings describe the same step, because OnResult (the cache and
-// history writer) runs under that same lock. The record's Online bytes
-// alias buf and are valid until its next use.
-func captureStream(eng *engine.Engine, cache *server.ResultCache, hist *server.HistoryStore,
-	id string, buf *bytes.Buffer) (snapRecord, error) {
-	rec := snapRecord{ID: id}
-	var err error
-	found := eng.Do(id, func(o *core.Online) {
-		buf.Reset()
-		if err = o.SaveState(buf); err != nil {
-			return
-		}
-		rec.State.Online = buf.Bytes()
-		rec.State.Cache, _ = cache.Latest(id)
-		if hist != nil {
-			rec.State.History, _ = hist.State(id)
-		}
-	})
-	switch {
-	case err != nil:
-		return rec, fmt.Errorf("save %s: %w", id, err)
-	case !found:
-		// The engine never unregisters a stream, so this is a bug.
-		return rec, fmt.Errorf("save %s: stream vanished during the snapshot", id)
-	}
-	return rec, nil
-}
-
 // restore performs the warm restart: it verifies the snapshot (quarantining
-// a damaged one and cold-starting), registers each stream's restored
-// predictor with the engine, and primes the serving cache so the first
-// forecast read needs no new samples. It returns how many streams were
-// restored. logw receives one line per abnormal event.
-// dedup, when non-nil, receives the snapshot's idempotency table so WAL
-// replay and client retries dedup against everything the snapshot covers.
-// hist, when non-nil, is primed with each stream's forecast-history rings;
-// a snapshot written under a different history shape clamps on restore
-// (history sizing is intentionally outside the fingerprint).
+// a damaged one and cold-starting) and installs each stream's state
+// (server.InstallStream), so the first forecast and history reads need no
+// new samples. It returns how many streams were restored. logw receives one
+// line per abnormal event. dedup, when non-nil, receives the snapshot's
+// idempotency table so WAL replay and client retries dedup against
+// everything the snapshot covers. A snapshot written under a different
+// history shape clamps on restore (history sizing is intentionally outside
+// the fingerprint).
 func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
-	hist *server.HistoryStore, newStream func(id string) (*core.Online, error),
-	dedup *server.Dedup, logw io.Writer) (int, error) {
+	hist *server.HistoryStore, dedup *server.Dedup, logw io.Writer) (int, error) {
 	path := st.path()
 	fr, err := durable.OpenFrame(path, snapMagic)
 	switch {
@@ -245,25 +198,9 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 		if err := dec.Decode(rec); err != nil {
 			return restored, undecodable(fmt.Sprintf("record %d of %d", i, hdr.Streams), err)
 		}
-		id := rec.ID
-		online, err := newStream(id)
-		if err != nil {
-			return restored, fmt.Errorf("restore %s: %w", id, err)
-		}
-		if err := online.RestoreState(bytes.NewReader(rec.State.Online)); err != nil {
-			if errors.Is(err, core.ErrStateMismatch) {
-				fmt.Fprintf(logw, "predictd: %s: predictor state mismatch, cold starting stream: %v\n", id, err)
-				continue
-			}
-			fmt.Fprintf(logw, "predictd: %s: unreadable predictor state, cold starting stream: %v\n", id, err)
+		if err := server.InstallStream(eng, cache, hist, rec.ID, rec.State); err != nil {
+			fmt.Fprintf(logw, "predictd: %s: cold starting stream: %v\n", rec.ID, err)
 			continue
-		}
-		if err := eng.Register(id, online); err != nil {
-			return restored, fmt.Errorf("restore %s: %w", id, err)
-		}
-		cache.Restore(id, rec.State.Cache)
-		if hist != nil && rec.State.History.Seq > 0 {
-			hist.Restore(id, rec.State.History)
 		}
 		restored++
 		st.restored.Inc()

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,7 +86,7 @@ func (h *stateHarness) save(tb testing.TB) {
 }
 
 func (h *stateHarness) restore(logw io.Writer) (int, error) {
-	return h.st.restore(h.eng, h.cache, h.hist, h.newStream, h.dedup, logw)
+	return h.st.restore(h.eng, h.cache, h.hist, h.dedup, logw)
 }
 
 func stateStreamID(i int) string { return fmt.Sprintf("state/%04d", i) }
@@ -111,17 +114,15 @@ func (h *stateHarness) feed(tb testing.TB, streams, first, n int) {
 }
 
 // captured returns every stream's persisted state as save would write it.
-func (h *stateHarness) captured(tb testing.TB) map[string]streamState {
+func (h *stateHarness) captured(tb testing.TB) map[string]server.StreamState {
 	tb.Helper()
-	out := map[string]streamState{}
-	h.eng.Each(func(id string, _ engine.StreamStats) { out[id] = streamState{} })
+	out := map[string]server.StreamState{}
+	h.eng.Each(func(id string, _ engine.StreamStats) { out[id] = server.StreamState{} })
 	for id := range out {
-		var buf bytes.Buffer
-		rec, err := captureStream(h.eng, h.cache, h.hist, id, &buf)
-		if err != nil {
+		var err error
+		if out[id], err = server.CaptureStream(h.eng, h.cache, h.hist, id, new(bytes.Buffer)); err != nil {
 			tb.Fatal(err)
 		}
-		out[id] = rec.State
 	}
 	return out
 }
@@ -154,7 +155,7 @@ func TestSnapshotLARPRED1Quarantined(t *testing.T) {
 	// The LARPRED1 payload: one gob value of this shape.
 	v1 := struct {
 		Fingerprint string
-		Streams     map[string]streamState
+		Streams     map[string]server.StreamState
 		Dedup       server.DedupState
 	}{src.st.fingerprint, src.captured(t), src.dedup.State()}
 	var payload bytes.Buffer
@@ -201,6 +202,112 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			if got, want := dst.dedup.State(), src.dedup.State(); !reflect.DeepEqual(got, want) {
 				t.Errorf("restored dedup table = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// legacyStreamState and legacySnapRecord are verbatim copies of the
+// per-stream snapshot record of releases before server.StreamState, renamed:
+// gob matches fields by name, not by type name.
+type legacyStreamState struct {
+	Online  []byte
+	Cache   server.Snapshot
+	History server.HistoryState
+}
+
+type legacySnapRecord struct {
+	ID    string
+	State legacyStreamState
+}
+
+// TestSnapshotLegacyRecordRestores: a LARPRED2 file whose records were
+// written with the legacy record types restores to the same forecast, bulk
+// and history reads as the file save writes, in WAL and snapshot modes, and
+// its history reads are the source daemon's.
+func TestSnapshotLegacyRecordRestores(t *testing.T) {
+	const streams = 4
+	ids := make([]string, streams)
+	for i := range ids {
+		ids[i] = stateStreamID(i)
+	}
+	var paths []string
+	for _, id := range ids {
+		esc := "/v1/forecast/" + url.PathEscape(id)
+		paths = append(paths, esc, esc+"/history", esc+"/history?step=16")
+	}
+	paths = append(paths, "/v1/forecasts?streams="+strings.Join(ids, ","), "/v1/forecasts")
+	// reads serves every path from h's stores, ETags included.
+	reads := func(t *testing.T, h *stateHarness) map[string]string {
+		t.Helper()
+		cfg := server.Config{Engine: h.eng, Cache: h.cache, History: h.hist}
+		if h.dedup != nil {
+			cfg.Applied = h.dedup.Applied
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, p := range paths {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: HTTP %d: %s", p, rec.Code, rec.Body)
+			}
+			out[p] = rec.Header().Get("ETag") + " " + rec.Body.String()
+		}
+		return out
+	}
+	for _, walMode := range []bool{true, false} {
+		t.Run(fmt.Sprintf("wal=%v", walMode), func(t *testing.T) {
+			src := newStateHarness(t, t.TempDir(), walMode)
+			src.feed(t, streams, 1, 40)
+			src.save(t)
+
+			hdr := snapHeader{Fingerprint: src.st.fingerprint, Streams: streams}
+			if src.dedup != nil {
+				hdr.Dedup = src.dedup.State()
+			}
+			var payload bytes.Buffer
+			enc := gob.NewEncoder(&payload)
+			if err := enc.Encode(&hdr); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				rec := legacySnapRecord{ID: id}
+				var buf bytes.Buffer
+				var err error
+				src.eng.Do(id, func(o *core.Online) { err = o.SaveState(&buf) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.State.Online = buf.Bytes()
+				rec.State.Cache, _ = src.cache.Latest(id)
+				rec.State.History, _ = src.hist.State(id)
+				if err := enc.Encode(&rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			legacyDir := t.TempDir()
+			writeFrame(t, filepath.Join(legacyDir, "predictd.snap"), snapMagic, payload.Bytes())
+
+			restored := func(dir string) map[string]string {
+				h := newStateHarness(t, dir, walMode)
+				if n, err := h.restore(io.Discard); err != nil || n != streams {
+					t.Fatalf("restore from %s = %d, %v; want %d streams", dir, n, err, streams)
+				}
+				return reads(t, h)
+			}
+			legacy, current := restored(legacyDir), restored(src.st.dir)
+			live := reads(t, src)
+			for _, p := range paths {
+				if legacy[p] != current[p] {
+					t.Errorf("GET %s from the legacy file:\n%s\nfrom save's file:\n%s", p, legacy[p], current[p])
+				}
+				if strings.Contains(p, "/history") && legacy[p] != live[p] {
+					t.Errorf("GET %s from the legacy file:\n%s\nfrom the source daemon:\n%s", p, legacy[p], live[p])
+				}
 			}
 		})
 	}

@@ -39,12 +39,12 @@ func startBinaryTestCluster(t testing.TB, n, replication int) ([]*testNode, map[
 	wsrvs := map[string]*wire.Server{}
 	for i := range nodes {
 		tn := &testNode{id: members[i].ID, addr: members[i].Addr}
-		cache := server.NewResultCache()
+		cache, hist := server.NewResultCache(), newTestHistory(t)
 		dedup := server.NewDedup()
 		eng, err := engine.New(engine.Config{
 			Shards:    1,
 			NewStream: quickOnline(t),
-			OnResult:  cache.Record,
+			OnResult:  func(r engine.Result) { cache.Record(r); hist.Record(r) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func startBinaryTestCluster(t testing.TB, n, replication int) ([]*testNode, map[
 			Engine:         eng,
 			Cache:          cache,
 			Dedup:          dedup,
-			NewStream:      quickOnline(t),
+			History:        hist,
 			Registry:       obs.NewRegistry(),
 			Logw:           io.Discard,
 		})
@@ -70,6 +70,7 @@ func startBinaryTestCluster(t testing.TB, n, replication int) ([]*testNode, map[
 		srv, err := server.New(server.Config{
 			Engine:         eng,
 			Cache:          cache,
+			History:        hist,
 			Cluster:        node,
 			ClusterHandler: node.Handler(),
 			Ingest: func(batch []server.KeyedSample) (int, int, error) {
@@ -104,7 +105,7 @@ func startBinaryTestCluster(t testing.TB, n, replication int) ([]*testNode, map[
 		}
 		go wsrv.Serve(blns[i])
 		wsrvs[tn.id] = wsrv
-		tn.eng, tn.cache, tn.dedup, tn.node, tn.srv = eng, cache, dedup, node, srv
+		tn.eng, tn.cache, tn.hist, tn.dedup, tn.node, tn.srv = eng, cache, hist, dedup, node, srv
 		go srv.Serve(lns[i])
 		node.Start()
 		nodes[i] = tn

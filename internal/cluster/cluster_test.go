@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -24,6 +26,7 @@ type testNode struct {
 	addr  string
 	eng   *engine.Engine
 	cache *server.ResultCache
+	hist  *server.HistoryStore
 	dedup *server.Dedup
 	node  *Node
 	srv   *server.Server
@@ -38,6 +41,14 @@ func quickOnline(t testing.TB) func(string) (*core.Online, error) {
 			AuditWindow: 6,
 		})
 	}
+}
+
+func newTestHistory(t testing.TB) *server.HistoryStore {
+	h, err := server.NewHistoryStore(server.HistoryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // startTestCluster brings up n members with fast detector timings. The
@@ -59,12 +70,12 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 	nodes := make([]*testNode, n)
 	for i := range nodes {
 		tn := &testNode{id: members[i].ID, addr: members[i].Addr}
-		cache := server.NewResultCache()
+		cache, hist := server.NewResultCache(), newTestHistory(t)
 		dedup := server.NewDedup()
 		eng, err := engine.New(engine.Config{
 			Shards:    1,
 			NewStream: quickOnline(t),
-			OnResult:  cache.Record,
+			OnResult:  func(r engine.Result) { cache.Record(r); hist.Record(r) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +90,7 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 			Engine:         eng,
 			Cache:          cache,
 			Dedup:          dedup,
-			NewStream:      quickOnline(t),
+			History:        hist,
 			Registry:       obs.NewRegistry(),
 			Logw:           io.Discard,
 		})
@@ -89,6 +100,7 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 		srv, err := server.New(server.Config{
 			Engine:         eng,
 			Cache:          cache,
+			History:        hist,
 			Cluster:        node,
 			ClusterHandler: node.Handler(),
 			Ingest: func(batch []server.KeyedSample) (int, int, error) {
@@ -114,7 +126,7 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 			t.Fatal(err)
 		}
 		node.SetDraining(srv.Draining)
-		tn.eng, tn.cache, tn.dedup, tn.node, tn.srv = eng, cache, dedup, node, srv
+		tn.eng, tn.cache, tn.hist, tn.dedup, tn.node, tn.srv = eng, cache, hist, dedup, node, srv
 		go srv.Serve(lns[i])
 		node.Start()
 		nodes[i] = tn
@@ -393,9 +405,40 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestClusterConfigValidation: the node refuses to start without any of
+// its serving stores, the history store included.
+func TestClusterConfigValidation(t *testing.T) {
+	eng, err := engine.New(engine.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	members := []Member{{ID: "a", Addr: "127.0.0.1:1"}, {ID: "b", Addr: "127.0.0.1:2"}}
+	good := Config{Self: "a", Members: members, Engine: eng, Cache: server.NewResultCache(),
+		Dedup: server.NewDedup(), History: newTestHistory(t)}
+	if _, err := New(good); err != nil {
+		t.Fatalf("complete config rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"no engine":  func(c *Config) { c.Engine = nil },
+		"no cache":   func(c *Config) { c.Cache = nil },
+		"no dedup":   func(c *Config) { c.Dedup = nil },
+		"no history": func(c *Config) { c.History = nil },
+		"no peers":   func(c *Config) { c.Members = members[:1] },
+		"not member": func(c *Config) { c.Self = "z" },
+	} {
+		cfg := good
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: config accepted", name)
+		}
+	}
+}
+
 // TestClusterHandoff verifies the warm-handoff pull: a node that lost its
-// local state merges peers' dedup coverage and predictor state, so its
-// applied counts match what the cluster acked and replay cannot double-apply.
+// local state merges peers' dedup coverage and installs their stream state,
+// so its applied counts match what the cluster acked, replay cannot
+// double-apply, and its forecast and history reads are the source peer's.
 func TestClusterHandoff(t *testing.T) {
 	nodes := startTestCluster(t, 3, 2)
 	ids := memberIDs(nodes)
@@ -403,23 +446,36 @@ func TestClusterHandoff(t *testing.T) {
 	for _, tn := range nodes {
 		byID[tn.id] = tn
 	}
-	// Stream homed on n1 with follower n2; n1 will "restart" cold.
+	// Stream homed on n1 with follower n2; n1 will "restart" cold. Enough
+	// samples to train the predictor and close two 16-step history rows.
+	const n = 40
 	stream := streamOwnedBy(t, ids, "n1", "n2")
-	resp := ingestKeyed(t, byID["n1"].addr, "src-H", stream, 1, []float64{1, 2, 3, 4})
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = 10 + 3*math.Sin(float64(i)/4) + float64(i%3)
+	}
+	resp := ingestKeyed(t, byID["n1"].addr, "src-H", stream, 1, values)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("seed ingest: HTTP %d", resp.StatusCode)
 	}
 	waitFor(t, 3*time.Second, "replication to n2", func() bool {
 		got, _ := byID["n2"].dedup.Applied(stream)
-		return got == 4
+		return got == n
 	})
+	for _, tn := range nodes {
+		tn.eng.Drain()
+	}
 
 	// Simulate n1 restarting with empty state: fresh dedup + engine-level
 	// stream removal is overkill in-process, so pull into a brand-new table
 	// via a second Node sharing n1's identity but empty serving state.
-	cache := server.NewResultCache()
+	cache, hist := server.NewResultCache(), newTestHistory(t)
 	dedup := server.NewDedup()
-	eng, err := engine.New(engine.Config{Shards: 1, NewStream: quickOnline(t), OnResult: cache.Record})
+	eng, err := engine.New(engine.Config{
+		Shards:    1,
+		NewStream: quickOnline(t),
+		OnResult:  func(r engine.Result) { cache.Record(r); hist.Record(r) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +491,7 @@ func TestClusterHandoff(t *testing.T) {
 		Engine:      eng,
 		Cache:       cache,
 		Dedup:       dedup,
-		NewStream:   quickOnline(t),
+		History:     hist,
 		Logw:        io.Discard,
 	})
 	if err != nil {
@@ -446,21 +502,67 @@ func TestClusterHandoff(t *testing.T) {
 	if got := fresh.PullHandoff(ctx); got == 0 {
 		t.Fatal("PullHandoff restored nothing; want at least the seeded stream")
 	}
-	if got, _ := dedup.Applied(stream); got != 4 {
-		t.Fatalf("handoff-merged applied = %d, want 4", got)
+	if got, _ := dedup.Applied(stream); got != n {
+		t.Fatalf("handoff-merged applied = %d, want %d", got, n)
 	}
 	// Replaying the already-acked samples against the merged table dedups.
-	for seq := uint64(1); seq <= 4; seq++ {
+	for seq := uint64(1); seq <= n; seq++ {
 		if dedup.Apply(stream, "src-H", seq) {
 			t.Fatalf("seq %d re-applied after handoff merge; exactly-once violated", seq)
 		}
 	}
-	// The predictor shipped over: the engine serves the stream without a
-	// cold start.
-	if _, ok := eng.Stats(stream); !ok {
-		t.Fatal("handoff did not install the stream's predictor")
+
+	// The fresh node serves what the source peer serves. Both replicas
+	// applied the same samples in the same order, so either may have won.
+	srv, err := server.New(server.Config{Engine: eng, Cache: cache, History: hist, Applied: dedup.Applied})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap, ok := cache.Latest(stream); !ok || snap.LastTS == 0 && snap.LastValue == 0 {
-		_ = snap // serving snapshot may legitimately be zero-valued early; presence is what matters
+	local := httptest.NewServer(srv.Handler())
+	defer local.Close()
+	read := func(base, path string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.ClusterHeader, server.ClusterRead)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s%s: HTTP %d, %v: %s", base, path, resp.StatusCode, err, body)
+		}
+		return body
+	}
+	source := "http://" + byID["n1"].addr
+	for _, path := range []string{
+		"/v1/forecast/" + stream + "/history",
+		"/v1/forecast/" + stream + "/history?step=16",
+	} {
+		if got, want := read(local.URL, path), read(source, path); !bytes.Equal(got, want) {
+			t.Errorf("GET %s after handoff:\n got %s\nwant %s", path, got, want)
+		}
+	}
+	// A restored stream counts its processed samples anew; every other
+	// field of the forecast document must match byte for byte.
+	var got, want server.ForecastResponse
+	if err := json.Unmarshal(read(local.URL, "/v1/forecast/"+stream), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(read(source, "/v1/forecast/"+stream), &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Processed != 0 || want.Forecast == nil {
+		t.Fatalf("processed = %d after handoff (want 0); source forecast %+v", got.Processed, want.Forecast)
+	}
+	want.Processed = 0
+	gb, _ := json.Marshal(got)
+	wb, _ := json.Marshal(want)
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("forecast document after handoff:\n got %s\nwant %s", gb, wb)
 	}
 }

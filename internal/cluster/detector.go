@@ -48,14 +48,13 @@ type peerHealth struct {
 }
 
 // detector is the heartbeat failure detector: one prober goroutine per
-// peer GETs the peer's /v1/cluster/heartbeat every HeartbeatEvery under a
-// probe deadline. SuspectAfter consecutive misses demote Alive→Suspect;
+// peer GETs the peer's /v1/cluster/heartbeat every HeartbeatEvery, each
+// probe bounded by that same interval. SuspectAfter consecutive misses demote Alive→Suspect;
 // staying Suspect for DownAfter confirms Down. Any successful probe
 // restores Alive immediately (and fires onAlive — the rejoin signal).
 type detector struct {
 	self           string
 	heartbeatEvery time.Duration
-	probeTimeout   time.Duration
 	suspectAfter   int
 	downAfter      time.Duration
 
@@ -76,15 +75,14 @@ type detector struct {
 	wg   sync.WaitGroup
 }
 
-func newDetector(self string, peers map[string]string, hbEvery, probeTimeout time.Duration,
+func newDetector(self string, peers map[string]string, hbEvery time.Duration,
 	suspectAfter int, downAfter time.Duration, state *obs.GaugeVec, logw io.Writer) *detector {
 	d := &detector{
 		self:           self,
 		heartbeatEvery: hbEvery,
-		probeTimeout:   probeTimeout,
 		suspectAfter:   suspectAfter,
 		downAfter:      downAfter,
-		httpc:          &http.Client{Timeout: probeTimeout},
+		httpc:          &http.Client{Timeout: hbEvery},
 		logw:           logw,
 		state:          state,
 		peers:          make(map[string]*peerHealth, len(peers)),

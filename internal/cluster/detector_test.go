@@ -42,7 +42,7 @@ func waitState(t *testing.T, d *detector, peer string, want PeerState, within ti
 func TestDetectorLifecycle(t *testing.T) {
 	addr, up := startPeer(t)
 	d := newDetector("self", map[string]string{"p": addr},
-		10*time.Millisecond, 10*time.Millisecond, 2, 50*time.Millisecond, nil, io.Discard)
+		10*time.Millisecond, 2, 50*time.Millisecond, nil, io.Discard)
 	var rejoined atomic.Int32
 	d.onAlive = func(peer string) { rejoined.Add(1) }
 	d.start()
@@ -77,7 +77,7 @@ func TestDetectorLifecycle(t *testing.T) {
 }
 
 func TestDetectorUnknownPeerIsDown(t *testing.T) {
-	d := newDetector("self", map[string]string{}, time.Second, time.Second, 3, time.Second, nil, io.Discard)
+	d := newDetector("self", map[string]string{}, time.Second, 3, time.Second, nil, io.Discard)
 	if d.stateOf("ghost") != StateDown {
 		t.Fatal("unknown member must read as down")
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/acis-lab/larpredictor/client"
-	"github.com/acis-lab/larpredictor/internal/core"
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/obs"
 	"github.com/acis-lab/larpredictor/internal/server"
@@ -57,7 +56,7 @@ func ParseMembers(s string) ([]Member, error) {
 	return out, nil
 }
 
-// Config shapes a Node. Engine, Cache, Dedup, NewStream, Self, and Members
+// Config shapes a Node. Engine, Cache, Dedup, History, Self, and Members
 // are required; every duration and count has a serving-safe default.
 type Config struct {
 	// Self is this node's member ID; Members must contain it (that entry's
@@ -73,32 +72,22 @@ type Config struct {
 	// Replication−1 followers), clamped to the membership size. Default 2.
 	Replication int
 
-	// HeartbeatEvery is the probe interval (default 500ms); ProbeTimeout
-	// bounds each probe (default HeartbeatEvery). SuspectAfter consecutive
-	// missed probes mark a peer suspect (default 3); a peer that stays
-	// suspect for DownAfter is confirmed down (default 2s).
+	// HeartbeatEvery is the probe interval and bounds each probe (default
+	// 500ms). SuspectAfter consecutive missed probes mark a peer suspect
+	// (default 3); a peer that stays suspect for DownAfter is confirmed down
+	// (default 2s).
 	HeartbeatEvery time.Duration
-	ProbeTimeout   time.Duration
 	SuspectAfter   int
 	DownAfter      time.Duration
 
-	// ReplicaQueue bounds each peer's pending replication queue in batches
-	// (default 4096). A full queue drops the oldest batch — the follower
-	// heals the gap at its next warm handoff.
-	ReplicaQueue int
-	// ForwardAttempts bounds the synchronous forward retry loop
-	// (default 4; the external client retries above us).
-	ForwardAttempts int
-
-	// Engine, Cache, and Dedup are the node's serving state; NewStream
-	// builds a predictor shell for handoff restores.
-	Engine    *engine.Engine
-	Cache     *server.ResultCache
-	Dedup     *server.Dedup
-	NewStream func(id string) (*core.Online, error)
-	// History, when set, ships each stream's forecast-history rings in warm
-	// handoffs, so a failover replica (and a rejoining node) serves range
-	// queries without a gap instead of rebuilding history from zero.
+	// Engine, Cache, Dedup, and History are the node's serving state. Warm
+	// handoffs ship each stream's predictor, serving snapshot and history
+	// rings (server.StreamState), so a failover replica (and a rejoining
+	// node) serves range queries without a gap; the engine's own NewStream
+	// builds each installed predictor.
+	Engine  *engine.Engine
+	Cache   *server.ResultCache
+	Dedup   *server.Dedup
 	History *server.HistoryStore
 
 	// Registry instruments the node; nil leaves it uninstrumented.
@@ -106,6 +95,16 @@ type Config struct {
 	// Logw receives one line per membership event; nil discards.
 	Logw io.Writer
 }
+
+const (
+	// replicaQueue bounds each peer's pending replication queue in batches.
+	// A full queue drops the oldest batch — the follower heals the gap at
+	// its next warm handoff.
+	replicaQueue = 4096
+	// forwardAttempts bounds the synchronous forward retry loop; the
+	// external client retries above us.
+	forwardAttempts = 4
+)
 
 // Node is one predictd's clustering layer. Construct with New, wire its
 // Handler and server hooks, then Start the detector and replicators.
@@ -145,8 +144,8 @@ type Node struct {
 
 // New validates cfg and builds the node (no goroutines yet).
 func New(cfg Config) (*Node, error) {
-	if cfg.Engine == nil || cfg.Cache == nil || cfg.Dedup == nil || cfg.NewStream == nil {
-		return nil, errors.New("cluster: Engine, Cache, Dedup, and NewStream are required")
+	if cfg.Engine == nil || cfg.Cache == nil || cfg.Dedup == nil || cfg.History == nil {
+		return nil, errors.New("cluster: Engine, Cache, Dedup, and History are required")
 	}
 	if len(cfg.Members) < 2 {
 		return nil, errors.New("cluster: need at least 2 members")
@@ -173,20 +172,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 500 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.HeartbeatEvery
-	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 3
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 2 * time.Second
-	}
-	if cfg.ReplicaQueue <= 0 {
-		cfg.ReplicaQueue = 4096
-	}
-	if cfg.ForwardAttempts <= 0 {
-		cfg.ForwardAttempts = 4
 	}
 	if cfg.Logw == nil {
 		cfg.Logw = io.Discard
@@ -236,7 +226,7 @@ func New(cfg Config) (*Node, error) {
 			"Stream states installed from peers at warm handoff.")
 	}
 
-	n.det = newDetector(cfg.Self, n.addrs, cfg.HeartbeatEvery, cfg.ProbeTimeout,
+	n.det = newDetector(cfg.Self, n.addrs, cfg.HeartbeatEvery,
 		cfg.SuspectAfter, cfg.DownAfter, nodeState, cfg.Logw)
 	n.det.onAlive = func(peer string) { /* routing recomputes lazily; nothing to do */ }
 
@@ -244,7 +234,7 @@ func New(cfg Config) (*Node, error) {
 		fc, err := client.New(client.Config{
 			BaseURL:          "http://" + addr,
 			RequestTimeout:   2 * time.Second,
-			MaxAttempts:      cfg.ForwardAttempts,
+			MaxAttempts:      forwardAttempts,
 			BaseBackoff:      20 * time.Millisecond,
 			MaxBackoff:       500 * time.Millisecond,
 			BreakerThreshold: 5,
@@ -274,7 +264,7 @@ func New(cfg Config) (*Node, error) {
 			repC = replicated.WithLabels(id)
 			dropC = drops.WithLabels(id)
 		}
-		n.repl[id] = newReplicator(id, rc, cfg.ReplicaQueue, lagG, repC, dropC, cfg.Logw)
+		n.repl[id] = newReplicator(id, rc, replicaQueue, lagG, repC, dropC, cfg.Logw)
 	}
 	return n, nil
 }
@@ -489,17 +479,13 @@ func groupBySource(batch []server.KeyedSample) []sourceGroup {
 
 // ---- warm handoff ----
 
-// handoffStream is one stream's shipped state: the core codec's framed
-// predictor bytes, the serving snapshot, and the dedup coverage proving
-// which keyed samples it reflects.
+// handoffStream is one stream's shipped state plus the dedup coverage
+// proving which keyed samples it reflects. The embedded state's fields are
+// top-level keys of the JSON document.
 type handoffStream struct {
-	Online  []byte                         `json:"online"`
-	Cache   server.Snapshot                `json:"cache"`
+	server.StreamState
 	Applied uint64                         `json:"applied"`
 	Windows map[string]server.SourceWindow `json:"windows,omitempty"`
-	// History carries the stream's forecast-history rings (raw + tiers);
-	// zero Seq means the sender had none (or runs without a history store).
-	History server.HistoryState `json:"history,omitempty"`
 }
 
 // handoffDoc is the POST /v1/cluster/handoff response.
@@ -515,8 +501,8 @@ type handoffRequest struct {
 
 // handoffFor captures every local stream the requester owns or follows.
 // The engine is drained first so predictor state reflects every sample the
-// dedup table has admitted; per-stream capture runs under the shard lock,
-// exactly like the durable snapshot path.
+// dedup table has admitted; per-stream capture is server.CaptureStream, the
+// durable snapshot's path.
 func (n *Node) handoffFor(requester string) handoffDoc {
 	doc := handoffDoc{Node: n.cfg.Self, Streams: map[string]handoffStream{}}
 	n.cfg.Engine.Drain()
@@ -533,27 +519,17 @@ func (n *Node) handoffFor(requester string) handoffDoc {
 		if !wanted {
 			continue
 		}
-		var hs handoffStream
-		captured := false
-		n.cfg.Engine.Do(id, func(o *core.Online) {
-			var buf bytes.Buffer
-			if err := o.SaveState(&buf); err != nil {
-				fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff capture %s: %v\n", n.cfg.Self, id, err)
-				return
-			}
-			hs.Online = buf.Bytes()
-			hs.Cache, _ = n.cfg.Cache.Latest(id)
-			hs.Windows, hs.Applied, _ = n.cfg.Dedup.StreamState(id)
-			if n.cfg.History != nil {
-				hs.History, _ = n.cfg.History.State(id)
-			}
-			captured = true
-		})
-		if captured {
-			doc.Streams[id] = hs
-			if n.handoffServed != nil {
-				n.handoffServed.Inc()
-			}
+		// A fresh buffer per stream: the document holds every capture.
+		st, err := server.CaptureStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, id, new(bytes.Buffer))
+		if err != nil {
+			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff %v\n", n.cfg.Self, err)
+			continue
+		}
+		hs := handoffStream{StreamState: st}
+		hs.Windows, hs.Applied, _ = n.cfg.Dedup.StreamState(id)
+		doc.Streams[id] = hs
+		if n.handoffServed != nil {
+			n.handoffServed.Inc()
 		}
 	}
 	return doc
@@ -609,25 +585,13 @@ func (n *Node) PullHandoff(ctx context.Context) (restored int) {
 				continue
 			}
 		}
-		online, err := n.cfg.NewStream(stream)
+		// InstallStream takes the peer's history only when it is ahead: the
+		// winner was picked on applied count, but a local ring rebuilt by WAL
+		// replay could still be longer for unkeyed traffic.
+		err := server.InstallStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, stream, r.hs.StreamState)
 		if err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff restore %s: %v\n", n.cfg.Self, stream, err)
+			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff install %s from %s: %v\n", n.cfg.Self, stream, r.from, err)
 			continue
-		}
-		if err := online.RestoreState(bytes.NewReader(r.hs.Online)); err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff restore %s from %s: %v\n", n.cfg.Self, stream, r.from, err)
-			continue
-		}
-		if err := n.cfg.Engine.Replace(stream, online); err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff install %s: %v\n", n.cfg.Self, stream, err)
-			continue
-		}
-		n.cfg.Cache.Restore(stream, r.hs.Cache)
-		if n.cfg.History != nil && r.hs.History.Seq > n.cfg.History.Seq(stream) {
-			// Take the peer's history only when it is ahead: the winner was
-			// picked on applied count, but a local ring rebuilt by WAL replay
-			// could still be longer for unkeyed traffic.
-			n.cfg.History.Restore(stream, r.hs.History)
 		}
 		restored++
 		if n.handoffReceived != nil {

@@ -25,6 +25,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
@@ -109,10 +110,10 @@ func (p Policy) String() string {
 }
 
 // ParsePolicy maps the flag spellings ("block", "drop-oldest", "reject")
-// to a Policy.
+// to a Policy; the empty string selects the default, Block.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
-	case "block":
+	case "block", "":
 		return Block, nil
 	case "drop-oldest", "dropoldest", "drop":
 		return DropOldest, nil
@@ -305,6 +306,23 @@ func (e *Engine) Replace(id string, online *core.Online) error {
 	st.poisoned = false
 	st.fault = ""
 	return nil
+}
+
+// Restore builds a predictor for id with Config.NewStream, loads the core
+// codec's framed state from r into it, and installs it the way Replace
+// does. On error the stream, if any, is left as it was.
+func (e *Engine) Restore(id string, r io.Reader) error {
+	if e.cfg.NewStream == nil {
+		return fmt.Errorf("engine: restore %q: %w", id, ErrUnknownStream)
+	}
+	online, err := e.cfg.NewStream(id)
+	if err != nil {
+		return fmt.Errorf("engine: restore %q: %w", id, err)
+	}
+	if err := online.RestoreState(r); err != nil {
+		return fmt.Errorf("engine: restore %q: %w", id, err)
+	}
+	return e.Replace(id, online)
 }
 
 // Ingest enqueues one observation for a stream. Under the Block policy it

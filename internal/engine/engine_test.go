@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -461,7 +462,7 @@ func TestEngineMetrics(t *testing.T) {
 
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]Policy{
-		"block": Block, "drop-oldest": DropOldest, "dropoldest": DropOldest,
+		"block": Block, "": Block, "drop-oldest": DropOldest, "dropoldest": DropOldest,
 		"drop": DropOldest, "reject": Reject,
 	}
 	for in, want := range cases {
@@ -515,5 +516,60 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state ingest+drain allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestEngineRestore: Restore builds the predictor with the engine's own
+// factory and installs it with its state intact; a failed restore leaves
+// the existing stream as it was.
+func TestEngineRestore(t *testing.T) {
+	factory := func(string) (*core.Online, error) { return newTestOnline(t), nil }
+	src, err := New(Config{Shards: 1, NewStream: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < 80; i++ {
+		if err := src.Ingest("s", signal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Drain()
+	saved := func(e *Engine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		var serr error
+		if !e.Do("s", func(o *core.Online) { serr = o.SaveState(&buf) }) || serr != nil {
+			t.Fatalf("capture: %v", serr)
+		}
+		return buf.Bytes()
+	}
+	state := saved(src)
+
+	dst, err := New(Config{Shards: 1, NewStream: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.Restore("s", bytes.NewReader(state)); err != nil {
+		t.Fatal(err)
+	}
+	if got := saved(dst); !bytes.Equal(got, state) {
+		t.Fatal("restored predictor state differs from the state saved")
+	}
+	if err := dst.Restore("s", strings.NewReader("not a state")); err == nil {
+		t.Fatal("Restore of garbage succeeded")
+	}
+	if got := saved(dst); !bytes.Equal(got, state) {
+		t.Error("a failed Restore changed the installed predictor")
+	}
+
+	bare, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if err := bare.Restore("s", bytes.NewReader(state)); !errors.Is(err, ErrUnknownStream) {
+		t.Errorf("Restore without a factory = %v, want ErrUnknownStream", err)
 	}
 }

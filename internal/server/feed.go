@@ -44,6 +44,9 @@ type FeedEvent struct {
 	Expert    string   `json:"expert,omitempty"`
 }
 
+// sseHeartbeat is the subscription feed's keep-alive comment interval.
+const sseHeartbeat = 15 * time.Second
+
 // feedMsg is one published entry in flight to a subscriber.
 type feedMsg struct {
 	stream string
@@ -197,11 +200,6 @@ func feedEvent(stream string, e HistoryEntry) FeedEvent {
 // handleSubscribe serves GET /v1/subscribe?streams=a,b,c as an SSE stream
 // of "forecast" events with Last-Event-ID resume.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeError(w, http.StatusNotFound, CodeUnknownStream,
-			"forecast history is not enabled on this node")
-		return
-	}
 	streams, errCode, errMsg := splitStreamsParam(r.URL.Query().Get("streams"), s.cfg.MaxBulkStreams)
 	if errCode != "" {
 		writeError(w, http.StatusBadRequest, errCode, errMsg)
@@ -280,11 +278,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	heartbeat := s.cfg.SSEHeartbeat
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(sseHeartbeat)
 	defer ticker.Stop()
 	for {
 		select {

@@ -55,8 +55,8 @@ type KeyedSample struct {
 	Seq uint64
 }
 
-// Config parameterizes a Server. Engine is required; everything else has a
-// serving-safe default.
+// Config parameterizes a Server. Engine, Cache and History are required;
+// everything else has a serving-safe default.
 type Config struct {
 	// Engine is the prediction engine the server fronts. Required.
 	Engine *engine.Engine
@@ -66,16 +66,12 @@ type Config struct {
 	Cache *ResultCache
 	// History is the multi-resolution forecast-history store behind the
 	// range, bulk conditional-get, and subscription endpoints. Like Cache it
-	// must be wired into the engine's OnResult path by the composer. Nil
-	// disables the history and subscription endpoints (404) and downgrades
-	// bulk ETags to the engine's processed counters.
+	// must be wired into the engine's OnResult path by the composer.
+	// Required.
 	History *HistoryStore
 	// MaxBulkStreams caps how many streams one bulk forecast or subscribe
 	// request may name; more is a 400 "too_many_streams". Defaults to 256.
 	MaxBulkStreams int
-	// SSEHeartbeat is the subscription feed's keep-alive comment interval.
-	// Defaults to 15s; tests shorten it.
-	SSEHeartbeat time.Duration
 	// Registry instruments the server (request counters by endpoint and
 	// code, latency histograms, in-flight gauge) and backs /metrics. Nil
 	// serves an empty exposition and skips instrumentation.
@@ -155,6 +151,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Cache == nil {
 		return nil, errors.New("server: nil result cache")
 	}
+	if cfg.History == nil {
+		return nil, errors.New("server: nil history store")
+	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 256
 	}
@@ -187,9 +186,7 @@ func New(cfg Config) (*Server, error) {
 		feed:    newFeed(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 	}
-	if s.history != nil {
-		s.history.OnAppend(s.feed.publish)
-	}
+	s.history.OnAppend(s.feed.publish)
 	if reg := cfg.Registry; reg != nil {
 		s.met = serverMetrics{
 			requests: reg.Counter("predictd_http_requests_total",
@@ -312,9 +309,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// endpointLabel maps a request to a bounded-cardinality metric label.
+// endpointLabel maps a request to a bounded-cardinality metric label. It
+// reads the escaped path, as handleForecast does, so an escaped slash in a
+// stream ID never reads as the history suffix.
 func endpointLabel(r *http.Request) string {
-	switch p := r.URL.Path; {
+	switch p := r.URL.EscapedPath(); {
 	case p == "/v1/ingest":
 		return "ingest"
 	case p == "/v1/streams":
@@ -575,13 +574,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handleForecast serves the stream's latest forecast and health document,
 // or — when the path ends in "/history" — the stream's consolidated
 // forecast-vs-actual history. Stream IDs may contain slashes, so the
-// history suffix is carved off the wildcard rather than routed separately;
-// a stream whose own ID ends in "/history" is reachable only through the
-// bulk endpoint.
+// history suffix is carved off the wildcard rather than routed separately.
+// The suffix is decided on the escaped path, where a slash inside an
+// escaped ID is still %2F: "x%2Fhistory" names stream "x/history", while
+// "x/history" is stream x's history.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("stream")
-	if hid, ok := strings.CutSuffix(id, "/history"); ok {
-		s.handleHistory(w, r, hid)
+	if strings.HasSuffix(r.URL.EscapedPath(), "/history") {
+		s.handleHistory(w, r, strings.TrimSuffix(id, "/history"))
 		return
 	}
 	if id == "" {
@@ -691,11 +691,6 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, id string
 		writeError(w, http.StatusBadRequest, CodeEmptyStream, "empty stream")
 		return
 	}
-	if s.history == nil {
-		writeError(w, http.StatusNotFound, CodeUnknownStream,
-			"forecast history is not enabled on this node")
-		return
-	}
 	if cl := s.cfg.Cluster; cl != nil {
 		w.Header().Set(NodeHeader, cl.NodeID())
 		s.readFlags(w, r, id)
@@ -768,10 +763,9 @@ func splitStreamsParam(raw string, maxStreams int) (ids []string, errCode, errMs
 }
 
 // streamsETag computes the bulk response's strong ETag: a hash over this
-// node's identity and every requested stream's version — its history seq
-// (bumped by each processed sample) plus the engine's processed counter as
-// a fallback when history is disabled. Any new sample on any requested
-// stream changes the tag.
+// node's identity and every requested stream's version — its history seq,
+// bumped by each processed sample. Any new sample on any requested stream
+// changes the tag.
 func (s *Server) streamsETag(ids []string) string {
 	h := fnv.New64a()
 	if cl := s.cfg.Cluster; cl != nil {
@@ -780,13 +774,7 @@ func (s *Server) streamsETag(ids []string) string {
 	var buf [8]byte
 	for _, id := range ids {
 		io.WriteString(h, id)
-		var v uint64
-		if s.history != nil {
-			v = s.history.Seq(id)
-		} else if st, ok := s.eng.Stats(id); ok {
-			v = st.Processed
-		}
-		binary.LittleEndian.PutUint64(buf[:], v)
+		binary.LittleEndian.PutUint64(buf[:], s.history.Seq(id))
 		h.Write(buf[:])
 	}
 	return fmt.Sprintf("\"f%016x\"", h.Sum64())

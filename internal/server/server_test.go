@@ -400,6 +400,9 @@ func TestMetricsExposition(t *testing.T) {
 	env := newTestServer(t, engine.Config{Shards: 1}, Config{})
 	postJSON(t, env.ts.URL+"/v1/ingest", IngestRequest{Stream: "s", Value: 1})
 	getJSON(t, env.ts.URL+"/v1/streams", nil)
+	env.eng.Drain()
+	getJSON(t, env.ts.URL+"/v1/forecast/s/history", nil)
+	getJSON(t, env.ts.URL+"/v1/forecast/s%2Fhistory", nil) // stream "s/history": unknown
 
 	resp, err := http.Get(env.ts.URL + "/metrics")
 	if err != nil {
@@ -413,6 +416,8 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`predictd_http_requests_total{endpoint="ingest",code="202"} 1`,
 		`predictd_http_requests_total{endpoint="streams",code="200"} 1`,
+		`predictd_http_requests_total{endpoint="history",code="200"} 1`,
+		`predictd_http_requests_total{endpoint="forecast",code="404"} 1`,
 		"predictd_http_request_seconds_bucket",
 		"predictd_http_in_flight",
 		"predictd_ingest_samples_accepted_total 1",
@@ -430,13 +435,17 @@ func TestServerConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	cache := NewResultCache()
+	cache, hist := NewResultCache(), newHistory(t, HistoryConfig{})
+	if _, err := New(Config{Engine: eng, Cache: cache, History: hist}); err != nil {
+		t.Fatalf("minimal config rejected: %v", err)
+	}
 	bad := []Config{
 		{},
 		{Engine: eng},
-		{Engine: eng, Cache: cache, MaxInFlight: -1},
-		{Engine: eng, Cache: cache, RequestTimeout: -time.Second},
-		{Engine: eng, Cache: cache, MaxBodyBytes: -1},
+		{Engine: eng, Cache: cache},
+		{Engine: eng, Cache: cache, History: hist, MaxInFlight: -1},
+		{Engine: eng, Cache: cache, History: hist, RequestTimeout: -time.Second},
+		{Engine: eng, Cache: cache, History: hist, MaxBodyBytes: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -63,9 +63,12 @@ func newBenchEngine(b *testing.B) *engine.Engine {
 // listener, wire listener — and returns both transport addresses.
 func startBenchDaemon(b *testing.B) (httpAddr, binAddr string) {
 	b.Helper()
-	cache := server.NewResultCache()
+	hist, err := server.NewHistoryStore(server.HistoryConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	eng := newBenchEngine(b)
-	srv, err := server.New(server.Config{Engine: eng, Cache: cache})
+	srv, err := server.New(server.Config{Engine: eng, Cache: server.NewResultCache(), History: hist})
 	if err != nil {
 		b.Fatal(err)
 	}
