@@ -14,9 +14,10 @@ import (
 // they name through a real server's {stream...} route, whatever URL
 // metacharacters the ID holds. The decoys are what an unescaped "cpu?x"
 // and "cpu%41" would fetch instead, and the stream whose history path
-// "x/history" would read as.
+// "x/history" would read as. The stream named history must not read as
+// a history path either.
 func TestReadsEscapeStreamIDs(t *testing.T) {
-	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec", "x/history"}
+	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec", "x/history", "history"}
 	decoys := []string{"cpu", "cpuA", "x"}
 	cache := server.NewResultCache()
 	hist, err := server.NewHistoryStore(server.HistoryConfig{})

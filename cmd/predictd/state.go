@@ -125,7 +125,7 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 		}
 		var online bytes.Buffer
 		for _, id := range ids {
-			state, err := server.CaptureStream(eng, cache, hist, id, &online)
+			state, err := server.CaptureStream(eng, cache, hist, id, &online, nil)
 			if err != nil {
 				return fmt.Errorf("save: %w", err)
 			}
@@ -148,8 +148,10 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 // restore performs the warm restart: it verifies the snapshot (quarantining
 // a damaged one and cold-starting) and installs each stream's state
 // (server.InstallStream), so the first forecast and history reads need no
-// new samples. It returns how many streams were restored. logw receives one
-// line per abnormal event. dedup, when non-nil, receives the snapshot's
+// new samples. It returns how many streams were restored. A record whose
+// predictor state does not load (engine.ErrBadState) cold-starts that
+// stream; any other install error fails startup. logw receives one line
+// per abnormal event. dedup, when non-nil, receives the snapshot's
 // idempotency table so WAL replay and client retries dedup against
 // everything the snapshot covers. A snapshot written under a different
 // history shape clamps on restore (history sizing is intentionally outside
@@ -198,9 +200,14 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 		if err := dec.Decode(rec); err != nil {
 			return restored, undecodable(fmt.Sprintf("record %d of %d", i, hdr.Streams), err)
 		}
-		if err := server.InstallStream(eng, cache, hist, rec.ID, rec.State); err != nil {
+		switch err := server.InstallStream(eng, cache, hist, rec.ID, rec.State); {
+		case errors.Is(err, engine.ErrBadState):
+			// A record this configuration cannot load: cold-start the
+			// stream. Any other error is the daemon's, so startup fails.
 			fmt.Fprintf(logw, "predictd: %s: cold starting stream: %v\n", rec.ID, err)
 			continue
+		case err != nil:
+			return restored, fmt.Errorf("restore %s: %w", rec.ID, err)
 		}
 		restored++
 		st.restored.Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -120,7 +121,7 @@ func (h *stateHarness) captured(tb testing.TB) map[string]server.StreamState {
 	h.eng.Each(func(id string, _ engine.StreamStats) { out[id] = server.StreamState{} })
 	for id := range out {
 		var err error
-		if out[id], err = server.CaptureStream(h.eng, h.cache, h.hist, id, new(bytes.Buffer)); err != nil {
+		if out[id], err = server.CaptureStream(h.eng, h.cache, h.hist, id, new(bytes.Buffer), nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -445,6 +446,52 @@ func TestSnapshotUndecodableRecordFailsStartup(t *testing.T) {
 				t.Errorf("verified snapshot was quarantined (%v)", serr)
 			}
 		})
+	}
+}
+
+// TestSnapshotRestoreErrors: a record whose predictor state does not load
+// cold-starts that stream only, while a daemon that cannot build a stream
+// fails startup instead of dropping every stream's trained state.
+func TestSnapshotRestoreErrors(t *testing.T) {
+	dir := t.TempDir()
+	src := newStateHarness(t, dir, false)
+	src.feed(t, 2, 1, 25)
+	states := src.captured(t)
+	bad := states[stateStreamID(1)]
+	bad.Online = []byte("not a predictor state")
+	var payload bytes.Buffer
+	enc := gob.NewEncoder(&payload)
+	for _, v := range []any{
+		&snapHeader{Fingerprint: src.st.fingerprint, Streams: 2},
+		&snapRecord{ID: stateStreamID(0), State: states[stateStreamID(0)]},
+		&snapRecord{ID: stateStreamID(1), State: bad},
+	} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFrame(t, src.st.path(), snapMagic, payload.Bytes())
+
+	dst := newStateHarness(t, dir, false)
+	var log bytes.Buffer
+	if n, err := dst.restore(&log); err != nil || n != 1 {
+		t.Fatalf("restore = %d, %v; want 1 stream and a cold start", n, err)
+	}
+	if !strings.Contains(log.String(), stateStreamID(1)+": cold starting") {
+		t.Errorf("log %q does not name the cold-started stream", log.String())
+	}
+
+	down := newStateHarness(t, dir, false)
+	eng, err := engine.New(engine.Config{Shards: 1, NewStream: func(string) (*core.Online, error) {
+		return nil, errors.New("factory down")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	down.eng = eng
+	if n, err := down.restore(io.Discard); err == nil || !strings.Contains(err.Error(), "factory down") {
+		t.Fatalf("restore with a failing factory = %d, %v; want a startup failure", n, err)
 	}
 }
 

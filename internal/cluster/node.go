@@ -502,7 +502,8 @@ type handoffRequest struct {
 // handoffFor captures every local stream the requester owns or follows.
 // The engine is drained first so predictor state reflects every sample the
 // dedup table has admitted; per-stream capture is server.CaptureStream, the
-// durable snapshot's path.
+// durable snapshot's path, which also reads the dedup windows under the
+// stream's shard lock.
 func (n *Node) handoffFor(requester string) handoffDoc {
 	doc := handoffDoc{Node: n.cfg.Self, Streams: map[string]handoffStream{}}
 	n.cfg.Engine.Drain()
@@ -519,14 +520,16 @@ func (n *Node) handoffFor(requester string) handoffDoc {
 		if !wanted {
 			continue
 		}
-		// A fresh buffer per stream: the document holds every capture.
-		st, err := server.CaptureStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, id, new(bytes.Buffer))
+		// A fresh buffer per stream: the document holds every capture. The
+		// dedup windows are read under the same shard lock as the state.
+		var hs handoffStream
+		var err error
+		hs.StreamState, err = server.CaptureStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, id, new(bytes.Buffer),
+			func() { hs.Windows, hs.Applied, _ = n.cfg.Dedup.StreamState(id) })
 		if err != nil {
 			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff %v\n", n.cfg.Self, err)
 			continue
 		}
-		hs := handoffStream{StreamState: st}
-		hs.Windows, hs.Applied, _ = n.cfg.Dedup.StreamState(id)
 		doc.Streams[id] = hs
 		if n.handoffServed != nil {
 			n.handoffServed.Inc()

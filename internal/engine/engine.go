@@ -50,6 +50,11 @@ var (
 	// stream is poisoned and drops samples until Replace swaps in a fresh
 	// predictor. Delivered wrapped, so test with errors.Is.
 	ErrPoisoned = errors.New("engine: stream poisoned by panic")
+	// ErrBadState wraps a Restore whose state bytes do not load into the
+	// stream's predictor: damaged, truncated or written under another
+	// configuration. Callers may cold-start the stream; other Restore
+	// errors come from the engine or its factory.
+	ErrBadState = errors.New("engine: predictor state does not restore")
 )
 
 // FaultFailed is the fault string recorded for a stream whose predictor
@@ -310,7 +315,8 @@ func (e *Engine) Replace(id string, online *core.Online) error {
 
 // Restore builds a predictor for id with Config.NewStream, loads the core
 // codec's framed state from r into it, and installs it the way Replace
-// does. On error the stream, if any, is left as it was.
+// does. A state that does not load is reported as ErrBadState. On error
+// the stream, if any, is left as it was.
 func (e *Engine) Restore(id string, r io.Reader) error {
 	if e.cfg.NewStream == nil {
 		return fmt.Errorf("engine: restore %q: %w", id, ErrUnknownStream)
@@ -320,7 +326,7 @@ func (e *Engine) Restore(id string, r io.Reader) error {
 		return fmt.Errorf("engine: restore %q: %w", id, err)
 	}
 	if err := online.RestoreState(r); err != nil {
-		return fmt.Errorf("engine: restore %q: %w", id, err)
+		return fmt.Errorf("engine: restore %q: %w: %w", id, ErrBadState, err)
 	}
 	return e.Replace(id, online)
 }

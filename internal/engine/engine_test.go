@@ -557,8 +557,8 @@ func TestEngineRestore(t *testing.T) {
 	if got := saved(dst); !bytes.Equal(got, state) {
 		t.Fatal("restored predictor state differs from the state saved")
 	}
-	if err := dst.Restore("s", strings.NewReader("not a state")); err == nil {
-		t.Fatal("Restore of garbage succeeded")
+	if err := dst.Restore("s", strings.NewReader("not a state")); !errors.Is(err, ErrBadState) {
+		t.Fatalf("Restore of garbage = %v, want ErrBadState", err)
 	}
 	if got := saved(dst); !bytes.Equal(got, state) {
 		t.Error("a failed Restore changed the installed predictor")
@@ -571,5 +571,15 @@ func TestEngineRestore(t *testing.T) {
 	defer bare.Close()
 	if err := bare.Restore("s", bytes.NewReader(state)); !errors.Is(err, ErrUnknownStream) {
 		t.Errorf("Restore without a factory = %v, want ErrUnknownStream", err)
+	}
+	broken, err := New(Config{Shards: 1, NewStream: func(string) (*core.Online, error) {
+		return nil, errors.New("factory down")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broken.Close()
+	if err := broken.Restore("s", bytes.NewReader(state)); err == nil || errors.Is(err, ErrBadState) {
+		t.Errorf("Restore with a failing factory = %v, want a non-ErrBadState error", err)
 	}
 }

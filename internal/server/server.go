@@ -310,8 +310,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 }
 
 // endpointLabel maps a request to a bounded-cardinality metric label. It
-// reads the escaped path, as handleForecast does, so an escaped slash in a
-// stream ID never reads as the history suffix.
+// reads the escaped path after the route prefix, as handleForecast does, so
+// neither an escaped slash in a stream ID nor the stream named history
+// reads as the history suffix.
 func endpointLabel(r *http.Request) string {
 	switch p := r.URL.EscapedPath(); {
 	case p == "/v1/ingest":
@@ -325,7 +326,7 @@ func endpointLabel(r *http.Request) string {
 	case len(p) > len("/v1/cluster/") && p[:len("/v1/cluster/")] == "/v1/cluster/":
 		return "cluster"
 	case len(p) > len("/v1/forecast/") && p[:len("/v1/forecast/")] == "/v1/forecast/":
-		if strings.HasSuffix(p, "/history") {
+		if strings.HasSuffix(p[len("/v1/forecast/"):], "/history") {
 			return "history"
 		}
 		return "forecast"
@@ -575,13 +576,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // or — when the path ends in "/history" — the stream's consolidated
 // forecast-vs-actual history. Stream IDs may contain slashes, so the
 // history suffix is carved off the wildcard rather than routed separately.
-// The suffix is decided on the escaped path, where a slash inside an
-// escaped ID is still %2F: "x%2Fhistory" names stream "x/history", while
-// "x/history" is stream x's history.
+// The suffix is cut from the wildcard only when the escaped path, where a
+// slash inside an escaped ID is still %2F, ends in it too: "x%2Fhistory"
+// names stream "x/history", "x/history" is stream x's history, and
+// "history" is the stream named history.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("stream")
-	if strings.HasSuffix(r.URL.EscapedPath(), "/history") {
-		s.handleHistory(w, r, strings.TrimSuffix(id, "/history"))
+	if hid, ok := strings.CutSuffix(id, "/history"); ok && strings.HasSuffix(r.URL.EscapedPath(), "/history") {
+		s.handleHistory(w, r, hid)
 		return
 	}
 	if id == "" {

@@ -403,6 +403,7 @@ func TestMetricsExposition(t *testing.T) {
 	env.eng.Drain()
 	getJSON(t, env.ts.URL+"/v1/forecast/s/history", nil)
 	getJSON(t, env.ts.URL+"/v1/forecast/s%2Fhistory", nil) // stream "s/history": unknown
+	getJSON(t, env.ts.URL+"/v1/forecast/history", nil)     // stream "history": unknown
 
 	resp, err := http.Get(env.ts.URL + "/metrics")
 	if err != nil {
@@ -417,7 +418,7 @@ func TestMetricsExposition(t *testing.T) {
 		`predictd_http_requests_total{endpoint="ingest",code="202"} 1`,
 		`predictd_http_requests_total{endpoint="streams",code="200"} 1`,
 		`predictd_http_requests_total{endpoint="history",code="200"} 1`,
-		`predictd_http_requests_total{endpoint="forecast",code="404"} 1`,
+		`predictd_http_requests_total{endpoint="forecast",code="404"} 2`,
 		"predictd_http_request_seconds_bucket",
 		"predictd_http_in_flight",
 		"predictd_ingest_samples_accepted_total 1",

@@ -23,10 +23,12 @@ type StreamState struct {
 // CaptureStream reads one stream's state inside eng.Do, which holds the
 // stream's shard lock: the predictor bytes, the cache entry and the history
 // rings describe the same step, because OnResult (the cache and history
-// writer) runs under that same lock. The returned Online bytes alias buf and
+// writer) runs under that same lock. also, when non-nil, runs under the
+// lock after the capture, for state that must describe the same step (the
+// cluster handoff's dedup windows). The returned Online bytes alias buf and
 // are valid until its next use.
 func CaptureStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
-	id string, buf *bytes.Buffer) (StreamState, error) {
+	id string, buf *bytes.Buffer, also func()) (StreamState, error) {
 	var st StreamState
 	var err error
 	found := eng.Do(id, func(o *core.Online) {
@@ -37,6 +39,9 @@ func CaptureStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
 		st.Online = buf.Bytes()
 		st.Cache, _ = cache.Latest(id)
 		st.History, _ = hist.State(id)
+		if also != nil {
+			also()
+		}
 	})
 	switch {
 	case err != nil:
