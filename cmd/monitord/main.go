@@ -187,16 +187,6 @@ type runSummary struct {
 	Pipes       []PipeStatus
 }
 
-// pipe returns the status for a key, or nil.
-func (s *runSummary) pipe(key string) *PipeStatus {
-	for i := range s.Pipes {
-		if s.Pipes[i].Key == key {
-			return &s.Pipes[i]
-		}
-	}
-	return nil
-}
-
 // counters aggregates pipeline statistics for the status endpoint. It
 // decouples the HTTP handler from the supervisor loop: the loop publishes a
 // snapshot once per simulated hour.

@@ -15,6 +15,16 @@ import (
 	"github.com/acis-lab/larpredictor/internal/vmtrace"
 )
 
+// pipe returns the status for a key, or nil.
+func (s *runSummary) pipe(key string) *PipeStatus {
+	for i := range s.Pipes {
+		if s.Pipes[i].Key == key {
+			return &s.Pipes[i]
+		}
+	}
+	return nil
+}
+
 // baseOptions mirrors the daemon's defaults on a short, single-VM run.
 func baseOptions(vms ...vmtrace.VMID) options {
 	return options{

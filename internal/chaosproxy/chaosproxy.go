@@ -110,9 +110,6 @@ func (p *Proxy) SetTarget(target string) {
 	p.mu.Unlock()
 }
 
-// Faults reports how many accepted connections received an injected fault.
-func (p *Proxy) Faults() uint64 { return p.faults.Load() }
-
 // Close stops accepting, severs every live connection, and waits for the
 // connection goroutines to finish.
 func (p *Proxy) Close() error {

@@ -11,6 +11,9 @@ import (
 	"time"
 )
 
+// Faults reports how many accepted connections received an injected fault.
+func (p *Proxy) Faults() uint64 { return p.faults.Load() }
+
 // startEcho returns a backend that answers every HTTP request with its own
 // path, plus its address.
 func startEcho(t *testing.T) *httptest.Server {

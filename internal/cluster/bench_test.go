@@ -15,7 +15,7 @@ import (
 // writing to the wrong node — the number the X-Predictd-Route hint exists
 // to amortize away.
 func BenchmarkClusterForward(b *testing.B) {
-	nodes := startTestCluster(b, 2, 1)
+	nodes := startTestCluster(b, 2, 1, false)
 	ids := memberIDs(nodes)
 	local := streamOwnedBy(b, ids, "n0")
 	remote := streamOwnedBy(b, ids, "n1")

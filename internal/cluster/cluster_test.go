@@ -17,6 +17,7 @@ import (
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/obs"
 	"github.com/acis-lab/larpredictor/internal/server"
+	"github.com/acis-lab/larpredictor/internal/wire"
 )
 
 // testNode is one in-process cluster member: engine, dedup table, HTTP
@@ -30,6 +31,7 @@ type testNode struct {
 	dedup *server.Dedup
 	node  *Node
 	srv   *server.Server
+	wsrv  *wire.Server // binary ingest listener; nil unless asked for
 	down  bool
 }
 
@@ -53,10 +55,14 @@ func newTestHistory(t testing.TB) *server.HistoryStore {
 
 // startTestCluster brings up n members with fast detector timings. The
 // ingest hook mirrors predictd's WAL path: keyed samples pass the dedup
-// check before reaching the engine, so exactly-once assertions hold.
-func startTestCluster(t testing.TB, n, replication int) []*testNode {
+// check before reaching the engine, so exactly-once assertions hold. With
+// binary set, each member also serves a binary ingest listener and
+// advertises it via Config.BinaryAddr, so heartbeats teach peers to prefer
+// the binary forward transport.
+func startTestCluster(t testing.TB, n, replication int, binary bool) []*testNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
+	blns := make([]net.Listener, n)
 	members := make([]Member, n)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -64,8 +70,12 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 			t.Fatal(err)
 		}
 		lns[i] = ln
-		id := fmt.Sprintf("n%d", i)
-		members[i] = Member{ID: id, Addr: ln.Addr().String()}
+		members[i] = Member{ID: fmt.Sprintf("n%d", i), Addr: ln.Addr().String()}
+		if binary {
+			if blns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	nodes := make([]*testNode, n)
 	for i := range nodes {
@@ -80,7 +90,7 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := New(Config{
+		cfg := Config{
 			Self:           tn.id,
 			Members:        members,
 			Replication:    replication,
@@ -93,7 +103,11 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 			History:        hist,
 			Registry:       obs.NewRegistry(),
 			Logw:           io.Discard,
-		})
+		}
+		if binary {
+			cfg.BinaryAddr = blns[i].Addr().String()
+		}
+		node, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +140,23 @@ func startTestCluster(t testing.TB, n, replication int) []*testNode {
 			t.Fatal(err)
 		}
 		node.SetDraining(srv.Draining)
+		if binary {
+			if tn.wsrv, err = wire.NewServer(wire.ServerConfig{
+				Ingest:   srv.BinaryIngest,
+				Draining: srv.Draining,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			go tn.wsrv.Serve(blns[i])
+		}
 		tn.eng, tn.cache, tn.hist, tn.dedup, tn.node, tn.srv = eng, cache, hist, dedup, node, srv
 		go srv.Serve(lns[i])
 		node.Start()
 		nodes[i] = tn
 		t.Cleanup(func() {
+			if tn.wsrv != nil {
+				tn.wsrv.Close()
+			}
 			if !tn.down {
 				tn.node.Close()
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -224,7 +250,7 @@ func waitFor(t testing.TB, within time.Duration, what string, cond func() bool) 
 // into one node and asserts the owner applied every sample exactly once and
 // each follower converged to the same applied count via async replication.
 func TestClusterForwardAndReplicate(t *testing.T) {
-	nodes := startTestCluster(t, 3, 2)
+	nodes := startTestCluster(t, 3, 2, false)
 	ids := memberIDs(nodes)
 	byID := map[string]*testNode{}
 	for _, tn := range nodes {
@@ -276,7 +302,7 @@ func TestClusterForwardAndReplicate(t *testing.T) {
 // TestClusterReadRoles exercises the three forecast serving roles: owner
 // (fresh), replica (stale-flagged local view), and proxy (one hop).
 func TestClusterReadRoles(t *testing.T) {
-	nodes := startTestCluster(t, 3, 2)
+	nodes := startTestCluster(t, 3, 2, false)
 	ids := memberIDs(nodes)
 	byID := map[string]*testNode{}
 	for _, tn := range nodes {
@@ -328,7 +354,7 @@ func TestClusterReadRoles(t *testing.T) {
 // the ID holds. The decoys are what an unescaped "cpu?x" and "cpu%41" would
 // fetch instead — another stream's forecast.
 func TestClusterProxyForecastEscapesStreamIDs(t *testing.T) {
-	nodes := startTestCluster(t, 2, 1)
+	nodes := startTestCluster(t, 2, 1, false)
 	ids := []string{"cpu?x", "cpu#1", "cpu%41", "a b", "VM2/CPU_usedsec"}
 	var samples []engine.Sample
 	for i, id := range append(append([]string(nil), ids...), "cpu", "cpuA") {
@@ -356,7 +382,7 @@ func TestClusterProxyForecastEscapesStreamIDs(t *testing.T) {
 // TestClusterFailover kills a stream's owner and asserts the next member in
 // rendezvous order takes over ingest and reads without losing samples.
 func TestClusterFailover(t *testing.T) {
-	nodes := startTestCluster(t, 3, 2)
+	nodes := startTestCluster(t, 3, 2, false)
 	ids := memberIDs(nodes)
 	byID := map[string]*testNode{}
 	for _, tn := range nodes {
@@ -440,7 +466,7 @@ func TestClusterConfigValidation(t *testing.T) {
 // so its applied counts match what the cluster acked, replay cannot
 // double-apply, and its forecast and history reads are the source peer's.
 func TestClusterHandoff(t *testing.T) {
-	nodes := startTestCluster(t, 3, 2)
+	nodes := startTestCluster(t, 3, 2, false)
 	ids := memberIDs(nodes)
 	byID := map[string]*testNode{}
 	for _, tn := range nodes {

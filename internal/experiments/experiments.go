@@ -35,10 +35,6 @@ type Options struct {
 	Folds int
 }
 
-// Default returns the standard configuration: seed 2007 (the paper's year),
-// ten folds.
-func Default() Options { return Options{Seed: 2007, Folds: 10} }
-
 // ConfigFor returns the paper's LARPredictor configuration for a VM's trace
 // geometry: prediction order 16 for the 7-day VM1 trace (Table 2's caption)
 // and 5 for the 24-hour traces.

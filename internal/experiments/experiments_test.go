@@ -136,6 +136,7 @@ func TestTable3Structure(t *testing.T) {
 	}
 	// The 8 idle cells must be NaN, in the same positions as the paper.
 	nan := 0
+	wins := map[string]int{}
 	for mi, m := range r.Metrics {
 		for vi, vm := range r.VMs {
 			c := r.Cells[mi][vi]
@@ -148,6 +149,7 @@ func TestTable3Structure(t *testing.T) {
 			default:
 				t.Errorf("%s/%s: unexpected best %q", vm, m, c.Best)
 			}
+			wins[c.Best]++
 		}
 	}
 	if nan != 8 {
@@ -157,7 +159,6 @@ func TestTable3Structure(t *testing.T) {
 	if sf < 0 || sf > 1 {
 		t.Errorf("star fraction %g", sf)
 	}
-	wins := r.WinCounts()
 	totalWins := 0
 	for _, n := range wins {
 		totalWins += n

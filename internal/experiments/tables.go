@@ -161,19 +161,6 @@ func (t *Table3Result) StarFraction() float64 {
 	return float64(stars) / float64(total)
 }
 
-// WinCounts tallies how many non-NaN cells each expert wins.
-func (t *Table3Result) WinCounts() map[string]int {
-	counts := map[string]int{}
-	for _, row := range t.Cells {
-		for _, c := range row {
-			if !c.NaN {
-				counts[c.Best]++
-			}
-		}
-	}
-	return counts
-}
-
 // Render prints the matrix with the paper's cell syntax ("AR*", "LAST",
 // "NaN").
 func (t *Table3Result) Render() string {

@@ -138,7 +138,8 @@ func (s *trainingSet) point(i int) []float64 {
 }
 
 // sqDist returns the squared Euclidean distance from q (of length dim) to
-// point i: linalg.SquaredDistance, inlined into the search loops.
+// point i, the comparison key of the search loops: it skips the square root
+// and keeps the ordering.
 func (s *trainingSet) sqDist(q []float64, i int) float64 {
 	p := s.point(i)
 	var d float64

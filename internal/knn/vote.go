@@ -20,7 +20,7 @@ const (
 	// neighbors dominate.
 	DistanceWeightedVote
 	// ProbabilityVote normalizes distance weights into a distribution and
-	// picks its argmax; use Probabilities to read the full distribution.
+	// picks its argmax.
 	ProbabilityVote
 )
 
@@ -137,25 +137,4 @@ func accumWeights(w []float64, nbrs []Neighbor) {
 	for _, n := range nbrs {
 		w[n.Label] += 1 / (n.Distance + distanceEps)
 	}
-}
-
-// Probabilities returns the distance-weighted class distribution over the k
-// nearest neighbors of q: probabilities sum to 1 and index by class label.
-func (c *Classifier) Probabilities(q []float64) ([]float64, error) {
-	nbrs, err := c.search.Nearest(q, c.k)
-	if err != nil {
-		return nil, err
-	}
-	if len(nbrs) == 0 {
-		return nil, fmt.Errorf("knn: empty neighbor set: %w", ErrBadInput)
-	}
-	w := classWeights(nbrs, c.numClasses)
-	var total float64
-	for _, x := range w {
-		total += x
-	}
-	for i := range w {
-		w[i] /= total
-	}
-	return w, nil
 }

@@ -65,36 +65,43 @@ func TestProbabilityVoteMatchesDistanceWeighted(t *testing.T) {
 	}
 }
 
-func TestProbabilities(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {2}, {100}}
-	labels := []int{0, 1, 1, 2}
-	c := mustClassifier(t, pts, labels, Config{K: 3})
-	probs, err := c.Probabilities([]float64{0})
+// nearestWeights returns the per-class 1/(d+ε) weights over q's k nearest
+// neighbors, as the weighted votes tally them.
+func nearestWeights(t *testing.T, c *Classifier, q []float64) []float64 {
+	t.Helper()
+	nbrs, err := c.search.Nearest(q, c.k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return classWeights(nbrs, c.numClasses)
+}
+
+func TestProbabilities(t *testing.T) {
+	pts := [][]float64{{0}, {1}, {2}, {100}}
+	labels := []int{0, 1, 1, 2}
+	c := mustClassifier(t, pts, labels, Config{K: 3, Vote: ProbabilityVote})
+	// The class weights ProbabilityVote normalizes and takes the argmax of.
+	probs := nearestWeights(t, c, []float64{0})
 	if len(probs) != 3 {
 		t.Fatalf("probs = %v", probs)
 	}
-	var sum float64
 	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("probability out of range: %v", probs)
+		if p < 0 || math.IsInf(p, 0) || math.IsNaN(p) {
+			t.Fatalf("weight out of range: %v", probs)
 		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %g", sum)
 	}
 	// Neighbor at distance 0 (class 0) must dominate.
 	if probs[0] <= probs[1] || probs[0] <= probs[2] {
 		t.Errorf("zero-distance class not dominant: %v", probs)
 	}
-	// Class 2's point is not among the 3 nearest: probability 0.
-	if probs[2] != 0 {
-		t.Errorf("distant class probability = %g, want 0", probs[2])
+	if got, err := c.Classify([]float64{0}); err != nil || got != 0 {
+		t.Errorf("Classify = %d, %v; want 0", got, err)
 	}
-	if _, err := c.Probabilities([]float64{1, 2}); err == nil {
+	// Class 2's point is not among the 3 nearest: weight 0.
+	if probs[2] != 0 {
+		t.Errorf("distant class weight = %g, want 0", probs[2])
+	}
+	if _, err := c.Classify([]float64{1, 2}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -110,10 +117,7 @@ func TestZeroDistanceNeighborsDoNotBlowUp(t *testing.T) {
 	if got != 0 {
 		t.Errorf("exact-match vote = %d, want 0", got)
 	}
-	probs, err := c.Probabilities([]float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	probs := nearestWeights(t, c, []float64{1})
 	for _, p := range probs {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			t.Fatalf("probabilities = %v", probs)

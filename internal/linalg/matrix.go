@@ -7,9 +7,8 @@ import (
 
 // Matrix is a dense row-major matrix of float64.
 //
-// The zero value is an empty 0x0 matrix. Use NewMatrix or FromRows to build
-// one. Methods that return a Matrix allocate fresh storage; in-place variants
-// are provided where the hot paths in this repository need them.
+// The zero value is an empty 0x0 matrix. Use NewMatrix to build one.
+// Methods that return a Matrix allocate fresh storage.
 type Matrix struct {
 	rows, cols int
 	data       []float64 // len == rows*cols, row-major
@@ -21,24 +20,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: NewMatrix negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows. The data is
-// copied. An empty input yields a 0x0 matrix.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: FromRows ragged input: row %d has %d cols, want %d: %w",
-				i, len(r), cols, ErrDimension)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -173,13 +154,6 @@ func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// ScaleInPlace multiplies every element by alpha.
-func (m *Matrix) ScaleInPlace(alpha float64) {
-	for i := range m.data {
-		m.data[i] *= alpha
-	}
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {
@@ -194,28 +168,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ColumnMeans returns the mean of each column. For a 0-row matrix it returns
-// a zero vector of length Cols.
-func (m *Matrix) ColumnMeans() []float64 {
-	return columnMeans(m.rowViews(), m.cols)
-}
-
-// Covariance returns the sample covariance matrix (cols×cols) of the rows of
-// m, using the unbiased 1/(n-1) normalization. It requires at least two rows.
-func (m *Matrix) Covariance() (*Matrix, error) {
-	_, cov, err := RowCovariance(m.rowViews())
-	return cov, err
-}
-
-// rowViews returns one slice per row of m, aliasing its data.
-func (m *Matrix) rowViews() [][]float64 {
-	rows := make([][]float64, m.rows)
-	for i := range rows {
-		rows[i] = m.data[i*m.cols : (i+1)*m.cols]
-	}
-	return rows
 }
 
 // RowCovariance returns the column means and the sample covariance matrix

@@ -2,11 +2,71 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// FromRows builds a matrix from a slice of equal-length rows. The data is
+// copied. An empty input yields a 0x0 matrix.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("linalg: FromRows ragged input: row %d has %d cols, want %d: %w",
+				i, len(r), cols, ErrDimension)
+		}
+		copy(m.data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// ColumnMeans returns the mean of each column, the reference for
+// RowCovariance's means. For a 0-row matrix it returns a zero vector.
+func (m *Matrix) ColumnMeans() []float64 {
+	means := make([]float64, m.cols)
+	if m.rows == 0 {
+		return means
+	}
+	for i := 0; i < m.rows; i++ {
+		for j := range means {
+			means[j] += m.At(i, j)
+		}
+	}
+	inv := 1 / float64(m.rows)
+	for j := range means {
+		means[j] *= inv
+	}
+	return means
+}
+
+// Covariance returns the sample covariance matrix (cols×cols) of the rows of
+// m with the unbiased 1/(n-1) normalization, computed element by element as
+// the reference for RowCovariance. It requires at least two rows.
+func (m *Matrix) Covariance() (*Matrix, error) {
+	if m.rows < 2 {
+		return nil, fmt.Errorf("linalg: covariance needs >= 2 rows, have %d: %w", m.rows, ErrDimension)
+	}
+	means := m.ColumnMeans()
+	inv := 1 / float64(m.rows-1)
+	cov := NewMatrix(m.cols, m.cols)
+	for i := 0; i < m.cols; i++ {
+		for j := 0; j < m.cols; j++ {
+			var s float64
+			for r := 0; r < m.rows; r++ {
+				s += (m.At(r, i) - means[i]) * (m.At(r, j) - means[j])
+			}
+			cov.Set(i, j, s*inv)
+		}
+	}
+	return cov, nil
+}
 
 func mustFromRows(t *testing.T, rows [][]float64) *Matrix {
 	t.Helper()

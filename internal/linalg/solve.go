@@ -9,10 +9,6 @@ import (
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input is not
-// positive definite.
-var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
-
 // Solve solves the square linear system a·x = b by Gaussian elimination with
 // partial pivoting. Neither input is modified.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
@@ -75,37 +71,6 @@ func swapRows(m *Matrix, i, j int) {
 	}
 }
 
-// Cholesky factors the symmetric positive definite matrix a as L·Lᵀ and
-// returns the lower-triangular factor L. The input is not modified.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.Rows()
-	if n != a.Cols() {
-		return nil, fmt.Errorf("linalg: Cholesky on %dx%d matrix: %w", a.Rows(), a.Cols(), ErrDimension)
-	}
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		var d float64 = a.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
-			d -= ljk * ljk
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
-		}
-		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		inv := 1 / ljj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s*inv)
-		}
-	}
-	return l, nil
-}
-
 // LevinsonDurbin solves the symmetric Toeplitz system arising from the
 // Yule–Walker equations:
 //
@@ -158,24 +123,4 @@ func LevinsonDurbin(r []float64) (phi []float64, variance float64, err error) {
 		return nil, 0, ErrSingular
 	}
 	return phi, variance, nil
-}
-
-// ToeplitzFromAutocov builds the p×p symmetric Toeplitz matrix whose (i,j)
-// entry is r[|i-j|]. It is used by tests to cross-check LevinsonDurbin
-// against the general Solve path.
-func ToeplitzFromAutocov(r []float64, p int) (*Matrix, error) {
-	if p < 1 || len(r) < p {
-		return nil, fmt.Errorf("linalg: ToeplitzFromAutocov needs %d autocovariances, have %d: %w", p, len(r), ErrDimension)
-	}
-	m := NewMatrix(p, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			d := i - j
-			if d < 0 {
-				d = -d
-			}
-			m.Set(i, j, r[d])
-		}
-	}
-	return m, nil
 }

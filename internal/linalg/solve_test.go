@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,70 +99,6 @@ func TestSolveDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCholeskyKnown(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L = [[2,0],[1,√2]]
-	if !almostEqual(l.At(0, 0), 2, 1e-12) ||
-		!almostEqual(l.At(1, 0), 1, 1e-12) ||
-		!almostEqual(l.At(1, 1), math.Sqrt2, 1e-12) ||
-		l.At(0, 1) != 0 {
-		t.Fatalf("Cholesky = %v", l)
-	}
-}
-
-func TestCholeskyReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		// Build SPD matrix as BᵀB + εI.
-		b := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				b.Set(i, j, rng.NormFloat64())
-			}
-		}
-		bt := b.T()
-		a, err := bt.Mul(b)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+0.5)
-		}
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		lt := l.T()
-		recon, err := l.Mul(lt)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !almostEqual(recon.At(i, j), a.At(i, j), 1e-8*(1+math.Abs(a.At(i, j)))) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
-	}
-}
-
 func TestLevinsonDurbinKnownAR1(t *testing.T) {
 	// AR(1) with phi = 0.7 and unit innovation variance has autocovariance
 	// r[k] = sigma² phi^k / (1 - phi²).
@@ -232,6 +169,26 @@ func TestLevinsonDurbinErrors(t *testing.T) {
 	if _, _, err := LevinsonDurbin([]float64{0, 0.5}); !errors.Is(err, ErrSingular) {
 		t.Error("accepted non-positive zero-lag autocovariance")
 	}
+}
+
+// ToeplitzFromAutocov builds the p×p symmetric Toeplitz matrix whose (i,j)
+// entry is r[|i-j|], so tests can cross-check LevinsonDurbin against the
+// general Solve path.
+func ToeplitzFromAutocov(r []float64, p int) (*Matrix, error) {
+	if p < 1 || len(r) < p {
+		return nil, fmt.Errorf("linalg: ToeplitzFromAutocov needs %d autocovariances, have %d: %w", p, len(r), ErrDimension)
+	}
+	m := NewMatrix(p, p)
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			d := i - j
+			if d < 0 {
+				d = -d
+			}
+			m.Set(i, j, r[d])
+		}
+	}
+	return m, nil
 }
 
 func TestToeplitzFromAutocov(t *testing.T) {

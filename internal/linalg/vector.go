@@ -1,8 +1,8 @@
 // Package linalg provides the dense linear algebra kernels used by the
 // LARPredictor reproduction: vector arithmetic, a dense matrix type,
 // symmetric eigendecomposition (cyclic Jacobi), Gaussian elimination with
-// partial pivoting, Cholesky factorization, and a Levinson–Durbin solver for
-// the symmetric Toeplitz systems arising in Yule–Walker AR fitting.
+// partial pivoting, and a Levinson–Durbin solver for the symmetric Toeplitz
+// systems arising in Yule–Walker AR fitting.
 //
 // Everything is implemented from scratch on float64 slices; there are no
 // external dependencies. The matrix type is row-major and small-matrix
@@ -53,87 +53,6 @@ func Norm2(v []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Distance returns the Euclidean distance between a and b.
-func Distance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Distance length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// SquaredDistance returns the squared Euclidean distance between a and b.
-// It is the preferred comparison key for nearest-neighbor search because it
-// avoids the square root while preserving ordering.
-func SquaredDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: SquaredDistance length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d != %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Add returns a new slice holding a + b element-wise.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Add length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a new slice holding a - b element-wise.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // Clone returns a copy of v.

@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -48,86 +47,6 @@ func TestNorm2(t *testing.T) {
 	got := Norm2([]float64{big, big})
 	if math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Errorf("Norm2 overflowed for large inputs: %g", got)
-	}
-}
-
-func TestDistanceAxioms(t *testing.T) {
-	// Property: distance is symmetric, non-negative, zero iff identical,
-	// and satisfies the triangle inequality.
-	f := func(a, b, c [4]float64) bool {
-		av, bv, cv := a[:], b[:], c[:]
-		dab := Distance(av, bv)
-		dba := Distance(bv, av)
-		if dab != dba || dab < 0 {
-			return false
-		}
-		if Distance(av, av) != 0 {
-			return false
-		}
-		dac := Distance(av, cv)
-		dcb := Distance(cv, bv)
-		return dab <= dac+dcb+1e-9*(1+dab)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSquaredDistanceMatchesDistance(t *testing.T) {
-	f := func(a, b [5]float64) bool {
-		d := Distance(a[:], b[:])
-		sq := SquaredDistance(a[:], b[:])
-		if math.IsInf(sq, 0) || math.IsInf(d, 0) {
-			return true // overflow regime: ordering is all we care about
-		}
-		return almostEqual(d*d, sq, 1e-6*(1+sq))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAXPYAndScale(t *testing.T) {
-	y := []float64{1, 2, 3}
-	AXPY(2, []float64{1, 1, 1}, y)
-	want := []float64{3, 4, 5}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY result %v, want %v", y, want)
-		}
-	}
-	Scale(0.5, y)
-	want = []float64{1.5, 2, 2.5}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Scale result %v, want %v", y, want)
-		}
-	}
-}
-
-func TestAddSub(t *testing.T) {
-	a := []float64{1, 2}
-	b := []float64{3, 5}
-	sum := Add(a, b)
-	diff := Sub(b, a)
-	if sum[0] != 4 || sum[1] != 7 {
-		t.Errorf("Add = %v", sum)
-	}
-	if diff[0] != 2 || diff[1] != 3 {
-		t.Errorf("Sub = %v", diff)
-	}
-	// Inputs untouched.
-	if a[0] != 1 || b[0] != 3 {
-		t.Error("Add/Sub mutated inputs")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %g", got)
-	}
-	if got := Mean([]float64{2, 4, 6}); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Mean = %g, want 4", got)
 	}
 }
 

@@ -179,29 +179,6 @@ func (p *PCA) Components() int { return p.kept }
 // InputDim returns the dimensionality the transform was fitted on.
 func (p *PCA) InputDim() int { return len(p.mean) }
 
-// ExplainedVariance returns the fraction of total variance captured by the
-// kept components (1 for degenerate zero-variance fits). The total is the
-// covariance trace, so the fraction is exact for both backends.
-func (p *PCA) ExplainedVariance() float64 {
-	if p.totVar <= 0 {
-		return 1
-	}
-	var kept float64
-	for i, v := range p.eigvals {
-		if i >= p.kept {
-			break
-		}
-		if v > 0 {
-			kept += v
-		}
-	}
-	f := kept / p.totVar
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // Eigenvalues returns a copy of the known descending eigenvalue spectrum
 // (the full spectrum for the Jacobi backend; the leading components for the
 // power-iteration backend).
@@ -254,30 +231,6 @@ func (p *PCA) TransformAll(rows [][]float64) ([][]float64, error) {
 			return nil, fmt.Errorf("pca: row %d: %w", i, err)
 		}
 		out[i] = t
-	}
-	return out, nil
-}
-
-// InverseTransform maps a projected vector back to the original space
-// (the least-squares reconstruction µ + V·λ of paper Eq. 7).
-func (p *PCA) InverseTransform(proj []float64) ([]float64, error) {
-	if !p.fitted {
-		return nil, ErrNotFitted
-	}
-	if len(proj) != p.kept {
-		return nil, fmt.Errorf("pca: inverse transform of %d values, kept %d components: %w",
-			len(proj), p.kept, ErrBadInput)
-	}
-	out := make([]float64, len(p.mean))
-	copy(out, p.mean)
-	for c := 0; c < p.kept; c++ {
-		lambda := proj[c]
-		if lambda == 0 {
-			continue
-		}
-		for r := 0; r < len(out); r++ {
-			out[r] += lambda * p.comps.At(r, c)
-		}
 	}
 	return out, nil
 }

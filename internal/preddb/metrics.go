@@ -11,8 +11,6 @@ type dbMetrics struct {
 	predictions  *obs.Counter
 	// saves counts successful persistence snapshots of the database.
 	saves *obs.Counter
-	// pruned counts records dropped by retention pruning.
-	pruned *obs.Counter
 	// audits counts QA audits run against the database; auditFires counts
 	// the subset that breached the threshold and ordered retraining.
 	audits     *obs.Counter
@@ -34,13 +32,15 @@ func (db *DB) Instrument(r *obs.Registry) {
 			"Predictions recorded in the prediction database."),
 		saves: r.Counter1("larpredictor_preddb_saves_total",
 			"Successful prediction-database persistence snapshots."),
-		pruned: r.Counter1("larpredictor_preddb_pruned_records_total",
-			"Records dropped by retention pruning."),
 		audits: r.Counter1("larpredictor_qa_audits_total",
 			"QA audits run against the prediction database."),
 		auditFires: r.Counter1("larpredictor_qa_audit_fires_total",
 			"QA audits that breached the MSE threshold and ordered retraining."),
 	}
+	// Nothing prunes records; the family stays registered, at zero, so the
+	// exposition keeps its families.
+	r.Counter1("larpredictor_preddb_pruned_records_total",
+		"Records dropped by retention pruning.")
 	db.mu.Lock()
 	db.met = m
 	db.mu.Unlock()

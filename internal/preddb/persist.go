@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/acis-lab/larpredictor/internal/durable"
 )
@@ -71,34 +70,4 @@ func Load(r io.Reader) (*DB, error) {
 		db.rows[k] = snap.Rows[i]
 	}
 	return db, nil
-}
-
-// Prune drops records older than cutoff for every key, returning how many
-// records were removed. The prediction DB grows forever otherwise; the
-// paper's RRD bounds raw samples the same way.
-func (db *DB) Prune(cutoff time.Time) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	removed := 0
-	for k, rows := range db.rows {
-		i := 0
-		for i < len(rows) && rows[i].Time.Before(cutoff) {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		removed += i
-		if i == len(rows) {
-			delete(db.rows, k)
-			continue
-		}
-		kept := make([]Record, len(rows)-i)
-		copy(kept, rows[i:])
-		db.rows[k] = kept
-	}
-	if db.met != nil && removed > 0 {
-		db.met.pruned.Add(uint64(removed))
-	}
-	return removed
 }

@@ -145,30 +145,3 @@ func TestLoadV1Compat(t *testing.T) {
 		}
 	}
 }
-
-func TestPrune(t *testing.T) {
-	db := New()
-	for i := 0; i < 10; i++ {
-		db.PutObservation(key1, at(i), float64(i))
-	}
-	db.PutObservation(key2, at(0), 1) // fully-pruned key
-
-	removed := db.Prune(at(5))
-	if removed != 6 { // key1 rows 0..4 plus key2 row 0
-		t.Errorf("removed = %d, want 6", removed)
-	}
-	if db.Len(key1) != 5 {
-		t.Errorf("key1 rows = %d, want 5", db.Len(key1))
-	}
-	if db.Len(key2) != 0 {
-		t.Error("fully-pruned key still has rows")
-	}
-	recs := db.Range(key1, at(0), at(9))
-	if len(recs) != 5 || !recs[0].Time.Equal(at(5)) {
-		t.Errorf("surviving records = %+v", recs)
-	}
-	// Pruning nothing.
-	if n := db.Prune(at(0)); n != 0 {
-		t.Errorf("no-op prune removed %d", n)
-	}
-}

@@ -13,8 +13,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/acis-lab/larpredictor/internal/timeseries"
 )
 
 // Errors returned by the database.
@@ -138,32 +136,6 @@ func (db *DB) Range(key Key, start, end time.Time) []Record {
 	out := make([]Record, hi-lo)
 	copy(out, rows[lo:hi])
 	return out
-}
-
-// ObservationSeries extracts the observed values in [start, end] as a
-// Series. Rows lacking an observation are skipped; the interval is inferred
-// from the first two surviving rows.
-func (db *DB) ObservationSeries(key Key, start, end time.Time) (*timeseries.Series, error) {
-	recs := db.Range(key, start, end)
-	var (
-		values []float64
-		times  []time.Time
-	)
-	for _, r := range recs {
-		if r.HasObserved {
-			values = append(values, r.Observed)
-			times = append(times, r.Time)
-		}
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("preddb: %s: %w", key, ErrNoRecords)
-	}
-	interval := time.Second
-	if len(times) > 1 {
-		interval = times[1].Sub(times[0])
-	}
-	name := fmt.Sprintf("%s_%s", key.VM, key.Metric)
-	return timeseries.New(name, times[0], interval, values), nil
 }
 
 // AuditMSE computes the mean squared prediction error over the most recent

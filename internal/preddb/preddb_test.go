@@ -73,30 +73,6 @@ func TestKeysSorted(t *testing.T) {
 	}
 }
 
-func TestObservationSeries(t *testing.T) {
-	db := New()
-	for i := 0; i < 5; i++ {
-		db.PutObservation(key1, at(i), float64(10*i))
-	}
-	db.PutPrediction(key1, at(5), 99, "AR") // no observation: excluded
-	s, err := db.ObservationSeries(key1, at(0), at(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 5 {
-		t.Fatalf("series has %d values", s.Len())
-	}
-	if s.Interval != 5*time.Minute {
-		t.Errorf("interval = %v", s.Interval)
-	}
-	if s.At(4) != 40 {
-		t.Errorf("values = %v", s.Values)
-	}
-	if _, err := db.ObservationSeries(key2, at(0), at(5)); !errors.Is(err, ErrNoRecords) {
-		t.Errorf("empty key err = %v", err)
-	}
-}
-
 func TestAuditMSE(t *testing.T) {
 	db := New()
 	// 4 scored rows with errors 1, 2, 3, 4.

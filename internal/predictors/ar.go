@@ -25,7 +25,6 @@ type AR struct {
 	fallback bool // degenerate training data: behave like LAST
 	mean     float64
 	phi      []float64 // phi[0] multiplies z_{t-1}
-	variance float64   // innovation variance estimate from Levinson–Durbin
 }
 
 // NewAR returns an unfitted AR(p) model. It panics if p < 1.
@@ -42,26 +41,6 @@ func (*AR) Name() string { return "AR" }
 // Order implements Predictor.
 func (a *AR) Order() int { return a.p }
 
-// Coefficients returns a copy of the fitted AR coefficients (phi[0]
-// multiplies the most recent sample) or nil if unfitted or degenerate.
-func (a *AR) Coefficients() []float64 {
-	if !a.fitted || a.fallback {
-		return nil
-	}
-	out := make([]float64, len(a.phi))
-	copy(out, a.phi)
-	return out
-}
-
-// InnovationVariance returns the Levinson–Durbin innovation variance
-// estimate, or 0 for an unfitted/degenerate model.
-func (a *AR) InnovationVariance() float64 {
-	if !a.fitted || a.fallback {
-		return 0
-	}
-	return a.variance
-}
-
 // Fit estimates the AR coefficients from the training series via
 // Yule–Walker. Degenerate inputs — series shorter than p+2 samples, constant
 // series, or numerically singular autocovariances — switch the model into a
@@ -73,7 +52,6 @@ func (a *AR) Fit(train []float64) error {
 	a.fallback = true
 	a.phi = nil
 	a.mean = timeseries.Mean(train)
-	a.variance = 0
 
 	if len(train) < a.p+2 {
 		return nil
@@ -85,7 +63,7 @@ func (a *AR) Fit(train []float64) error {
 	if r[0] <= 0 || !linalg.AllFinite(r) {
 		return nil
 	}
-	phi, v, err := linalg.LevinsonDurbin(r)
+	phi, _, err := linalg.LevinsonDurbin(r)
 	if err != nil {
 		return nil
 	}
@@ -97,7 +75,6 @@ func (a *AR) Fit(train []float64) error {
 		}
 	}
 	a.phi = phi
-	a.variance = v
 	a.fallback = false
 	return nil
 }

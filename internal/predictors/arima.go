@@ -32,9 +32,6 @@ func (*ARIMA) Name() string { return "ARIMA" }
 // before the AR window.
 func (a *ARIMA) Order() int { return a.ar.Order() + a.d }
 
-// Differencing returns d.
-func (a *ARIMA) Differencing() int { return a.d }
-
 // Fit differences the training series d times and fits the inner AR.
 func (a *ARIMA) Fit(train []float64) error {
 	diffed := train

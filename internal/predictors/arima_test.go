@@ -23,11 +23,10 @@ func TestMARecoversKnownProcess(t *testing.T) {
 	if err := m.Fit(v); err != nil {
 		t.Fatal(err)
 	}
-	coef := m.Coefficients()
-	if coef == nil {
+	if m.fallback {
 		t.Fatal("MA fell back on healthy data")
 	}
-	if math.Abs(coef[0]-theta) > 0.03 {
+	if coef := m.theta; math.Abs(coef[0]-theta) > 0.03 {
 		t.Errorf("theta = %v, want ~%g", coef, theta)
 	}
 }
@@ -90,7 +89,7 @@ func TestMAFallbackOnDegenerateData(t *testing.T) {
 		if err := m.Fit(train); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if m.Coefficients() != nil {
+		if !m.fallback {
 			t.Errorf("case %d: expected fallback", i)
 		}
 		got, err := m.Predict([]float64{1, 2, 3})
@@ -158,8 +157,8 @@ func TestARIMAOrderAndErrors(t *testing.T) {
 	if a.Order() != 5 {
 		t.Errorf("Order = %d, want p+d = 5", a.Order())
 	}
-	if a.Differencing() != 2 {
-		t.Errorf("Differencing = %d", a.Differencing())
+	if a.d != 2 {
+		t.Errorf("differencing order = %d, want 2", a.d)
 	}
 	if _, err := a.Predict(make([]float64, 5)); !errors.Is(err, ErrNotFitted) {
 		t.Error("unfitted ARIMA did not error")

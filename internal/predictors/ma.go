@@ -39,16 +39,6 @@ func (*MA) Name() string { return "MA" }
 // samples beyond q to wash out the unknown initial innovation.
 func (m *MA) Order() int { return m.q + 1 }
 
-// Coefficients returns a copy of the fitted θ (nil if unfitted/degenerate).
-func (m *MA) Coefficients() []float64 {
-	if !m.fitted || m.fallback {
-		return nil
-	}
-	out := make([]float64, len(m.theta))
-	copy(out, m.theta)
-	return out
-}
-
 // Fit estimates θ via the innovations algorithm on the training series'
 // sample autocovariances. Degenerate inputs switch to a last-value fallback,
 // mirroring the AR expert's behaviour.

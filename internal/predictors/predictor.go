@@ -85,17 +85,6 @@ func NewByName(name string) (Predictor, error) {
 	return f(), nil
 }
 
-// RegisteredNames returns the names in the registry (unordered).
-func RegisteredNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Pool is an ordered collection of predictors — the mix-of-experts. The
 // order is significant: class labels used by the classifier are indexes into
 // the pool, matching the paper's "Predictor Class: 1 - LAST, 2 - AR,

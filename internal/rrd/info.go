@@ -2,8 +2,6 @@ package rrd
 
 import (
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Latest returns the most recent consolidated row for the given CF, or
@@ -33,28 +31,3 @@ func (r *RRD) Latest(cf CF) (Row, error) {
 
 // ErrNoRecentData is returned by Latest before any row has consolidated.
 var ErrNoRecentData = fmt.Errorf("rrd: no consolidated data yet")
-
-// Info renders a human-readable summary of the database: step, data
-// sources, archives with fill levels, and the last update — the `rrdtool
-// info` equivalent operators reach for first.
-func (r *RRD) Info() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rrd step=%ds last_update=%d\n", r.step, r.LastUpdate())
-	for _, d := range r.ds {
-		minStr, maxStr := "U", "U"
-		if !math.IsNaN(d.Min) {
-			minStr = fmt.Sprintf("%g", d.Min)
-		}
-		if !math.IsNaN(d.Max) {
-			maxStr = fmt.Sprintf("%g", d.Max)
-		}
-		fmt.Fprintf(&b, "  ds %-16s type=%s heartbeat=%ds min=%s max=%s\n",
-			d.Name, d.Type, d.Heartbeat, minStr, maxStr)
-	}
-	for i, a := range r.rras {
-		fmt.Fprintf(&b, "  rra[%d] cf=%s steps=%d rows=%d xff=%g filled=%d/%d span=%ds\n",
-			i, a.spec.CF, a.spec.Steps, a.spec.Rows, a.spec.XFF,
-			a.filled, a.spec.Rows, retention(a, r.step))
-	}
-	return b.String()
-}

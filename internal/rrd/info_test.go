@@ -3,7 +3,6 @@ package rrd
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -47,33 +46,5 @@ func TestLatest(t *testing.T) {
 	}
 	if again.Values[0] != 70 {
 		t.Error("Latest exposed internal storage")
-	}
-}
-
-func TestInfo(t *testing.T) {
-	r := mustRRD(t, 300,
-		[]DS{
-			{Name: "cpu", Type: Gauge, Heartbeat: 600, Min: 0, Max: 100},
-			{Name: "net", Type: Counter, Heartbeat: 600, Min: math.NaN(), Max: math.NaN()},
-		},
-		[]RRASpec{
-			{CF: Average, XFF: 0.5, Steps: 1, Rows: 288},
-			{CF: Max, XFF: 0.5, Steps: 12, Rows: 48},
-		})
-	if err := r.Update(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Update(300, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	info := r.Info()
-	for _, want := range []string{
-		"step=300s", "ds cpu", "type=GAUGE", "min=0", "max=100",
-		"ds net", "type=COUNTER", "min=U", "max=U",
-		"cf=AVERAGE", "cf=MAX", "steps=12", "filled=1/288",
-	} {
-		if !strings.Contains(info, want) {
-			t.Errorf("Info missing %q:\n%s", want, info)
-		}
 	}
 }

@@ -114,58 +114,3 @@ func chiSquared95(df int) float64 {
 	t := 1 - 2/(9*d) + z95*math.Sqrt(2/(9*d))
 	return d * t * t * t
 }
-
-// LinearTrend fits z_t ≈ a + b·t by least squares and returns the intercept
-// and per-step slope.
-func LinearTrend(v []float64) (intercept, slope float64, err error) {
-	n := len(v)
-	if n < 2 {
-		return 0, 0, fmt.Errorf("timeseries: trend needs >= 2 samples: %w", ErrShort)
-	}
-	// Closed form with t = 0..n-1.
-	tm := float64(n-1) / 2
-	zm := Mean(v)
-	var num, den float64
-	for t, z := range v {
-		dt := float64(t) - tm
-		num += dt * (z - zm)
-		den += dt * dt
-	}
-	if den == 0 {
-		return zm, 0, nil
-	}
-	slope = num / den
-	return zm - slope*tm, slope, nil
-}
-
-// Detrend removes the least-squares linear trend, returning the residuals.
-func Detrend(v []float64) ([]float64, error) {
-	a, b, err := LinearTrend(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	for t, z := range v {
-		out[t] = z - (a + b*float64(t))
-	}
-	return out, nil
-}
-
-// Difference returns the d-th differences of v (length shrinks by d).
-func Difference(v []float64, d int) ([]float64, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("timeseries: differencing order %d < 1", d)
-	}
-	if len(v) <= d {
-		return nil, fmt.Errorf("timeseries: %d samples for order-%d differencing: %w", len(v), d, ErrShort)
-	}
-	cur := append([]float64(nil), v...)
-	for i := 0; i < d; i++ {
-		next := make([]float64, len(cur)-1)
-		for j := 1; j < len(cur); j++ {
-			next[j-1] = cur[j] - cur[j-1]
-		}
-		cur = next
-	}
-	return cur, nil
-}

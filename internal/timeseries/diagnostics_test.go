@@ -130,70 +130,3 @@ func TestChiSquared95(t *testing.T) {
 		}
 	}
 }
-
-func TestLinearTrendAndDetrend(t *testing.T) {
-	v := make([]float64, 50)
-	for t0 := range v {
-		v[t0] = 4 + 2.5*float64(t0)
-	}
-	a, b, err := LinearTrend(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-4) > 1e-9 || math.Abs(b-2.5) > 1e-9 {
-		t.Errorf("trend = (%g, %g), want (4, 2.5)", a, b)
-	}
-	res, err := Detrend(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if math.Abs(r) > 1e-9 {
-			t.Fatalf("residual[%d] = %g", i, r)
-		}
-	}
-	if _, _, err := LinearTrend([]float64{1}); !errors.Is(err, ErrShort) {
-		t.Error("single sample accepted")
-	}
-	// Flat series: zero slope.
-	_, b, err = LinearTrend([]float64{7, 7, 7})
-	if err != nil || b != 0 {
-		t.Errorf("flat trend slope = %g, err %v", b, err)
-	}
-}
-
-func TestDifference(t *testing.T) {
-	d1, err := Difference([]float64{1, 4, 9, 16, 25}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 5, 7, 9}
-	for i := range want {
-		if d1[i] != want[i] {
-			t.Fatalf("d1 = %v", d1)
-		}
-	}
-	d2, err := Difference([]float64{1, 4, 9, 16, 25}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range d2 {
-		if x != 2 {
-			t.Fatalf("d2 = %v, want all 2 (quadratic)", d2)
-		}
-	}
-	if _, err := Difference([]float64{1, 2}, 0); err == nil {
-		t.Error("order 0 accepted")
-	}
-	if _, err := Difference([]float64{1, 2}, 2); !errors.Is(err, ErrShort) {
-		t.Error("short series accepted")
-	}
-	// Input untouched.
-	v := []float64{1, 2, 3}
-	if _, err := Difference(v, 1); err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != 1 || v[2] != 3 {
-		t.Error("Difference mutated input")
-	}
-}

@@ -62,20 +62,6 @@ func Variance(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// SampleVariance returns the unbiased sample variance (divisor n-1).
-func SampleVariance(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v)-1)
-}
-
 // StdDev returns the population standard deviation of v.
 func StdDev(v []float64) float64 {
 	return math.Sqrt(Variance(v))
@@ -249,21 +235,6 @@ func MSE(pred, obs []float64) (float64, error) {
 	for i := range pred {
 		d := pred[i] - obs[i]
 		s += d * d
-	}
-	return s / float64(len(pred)), nil
-}
-
-// MAE returns the mean absolute error between predictions and observations.
-func MAE(pred, obs []float64) (float64, error) {
-	if len(pred) != len(obs) {
-		return 0, fmt.Errorf("timeseries: MAE length mismatch %d != %d", len(pred), len(obs))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - obs[i])
 	}
 	return s / float64(len(pred)), nil
 }

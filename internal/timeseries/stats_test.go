@@ -20,9 +20,6 @@ func TestMeanVariance(t *testing.T) {
 	if sd := StdDev(v); !almostEqual(sd, 2, 1e-12) {
 		t.Errorf("StdDev = %g, want 2", sd)
 	}
-	if sv := SampleVariance(v); !almostEqual(sv, 32.0/7, 1e-12) {
-		t.Errorf("SampleVariance = %g, want %g", sv, 32.0/7)
-	}
 }
 
 func TestVarianceDegenerate(t *testing.T) {
@@ -212,7 +209,7 @@ func TestNormalizerConstantSeries(t *testing.T) {
 	}
 }
 
-func TestMSEAndMAE(t *testing.T) {
+func TestMSE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	obs := []float64{1, 4, 2}
 	mse, err := MSE(pred, obs)
@@ -221,13 +218,6 @@ func TestMSEAndMAE(t *testing.T) {
 	}
 	if !almostEqual(mse, (0.0+4+1)/3, 1e-12) {
 		t.Errorf("MSE = %g", mse)
-	}
-	mae, err := MAE(pred, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(mae, (0.0+2+1)/3, 1e-12) {
-		t.Errorf("MAE = %g", mae)
 	}
 	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("MSE accepted mismatched lengths")

@@ -248,19 +248,6 @@ func (s *Selector) Select() int {
 	return best
 }
 
-// Confidence returns the current selection's counter confidence in 0..1
-// without recording a selection.
-func (s *Selector) Confidence() float64 {
-	tbl := s.table()
-	best := 0
-	for i := 1; i < len(tbl); i++ {
-		if tbl[i] > tbl[best] {
-			best = i
-		}
-	}
-	return s.normalize(tbl[best])
-}
-
 // normalize maps a saturating counter onto 0..1 with the midpoint pinned at
 // exactly 0.5 (the cold/no-evidence level) — for odd counter ranges a plain
 // counter/max would report a cold selector as biased.
@@ -270,9 +257,6 @@ func (s *Selector) normalize(c uint8) float64 {
 	}
 	return 0.5 * float64(c) / float64(s.mid)
 }
-
-// Observations returns the number of observations folded so far.
-func (s *Selector) Observations() uint64 { return s.observations }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 

@@ -42,7 +42,7 @@ func TestColdSelectorPicksLowestIndex(t *testing.T) {
 	if got := s.Select(); got != 0 {
 		t.Errorf("cold selection = %d, want 0 (deterministic tie-break)", got)
 	}
-	if c := s.Confidence(); c != 0.5 {
+	if c := s.normalize(s.table()[0]); c != 0.5 {
 		t.Errorf("cold confidence = %g, want 0.5 (midpoint)", c)
 	}
 }
@@ -57,7 +57,7 @@ func TestTracksConsistentlyBestExpert(t *testing.T) {
 	if got := s.Select(); got != 2 {
 		t.Errorf("selection = %d after 20 wins by expert 2, want 2", got)
 	}
-	if c := s.Confidence(); c != 1 {
+	if c := s.normalize(s.table()[2]); c != 1 {
 		t.Errorf("confidence = %g after saturation, want 1", c)
 	}
 }
@@ -116,8 +116,8 @@ func TestNonFiniteInputs(t *testing.T) {
 	s.Observe([]float64{1, 2}, math.Inf(1))
 	// Wrong arity: skipped.
 	s.Observe([]float64{1}, 1)
-	if s.Observations() != 0 {
-		t.Fatalf("non-scorable observations were folded: %d", s.Observations())
+	if s.observations != 0 {
+		t.Fatalf("non-scorable observations were folded: %d", s.observations)
 	}
 	after := s.State()
 	if len(after.Global) != len(before.Global) || after.Obs != before.Obs {

@@ -12,7 +12,6 @@
 package vmtrace
 
 import (
-	"math"
 	"math/rand"
 )
 
@@ -82,25 +81,6 @@ func (o OnOff) Generate(n int, rng *rand.Rand) []float64 {
 			level = o.OnLevel
 		}
 		v[i] = level + o.Jitter*rng.NormFloat64()
-	}
-	return v
-}
-
-// Diurnal is a deterministic daily cycle: amplitude·sin(2π·i/period + phase).
-// Web-server traffic in the paper's VMs follows the workday.
-type Diurnal struct {
-	Amplitude float64
-	// Period is the cycle length in samples (e.g. 288 for a day of 5-minute
-	// samples).
-	Period float64
-	Phase  float64
-}
-
-// Generate implements Process.
-func (d Diurnal) Generate(n int, rng *rand.Rand) []float64 {
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
-		v[i] = d.Amplitude * math.Sin(2*math.Pi*float64(i)/d.Period+d.Phase)
 	}
 	return v
 }
@@ -394,40 +374,6 @@ func (c ClampMin) Generate(n int, rng *rand.Rand) []float64 {
 		if x < c.Min {
 			v[i] = c.Min
 		}
-	}
-	return v
-}
-
-// Couple scales a base process by (1 + Gain·driver), modelling metrics that
-// shadow another metric — e.g. CPU_ready grows with CPU contention, packet
-// counts follow byte counts.
-type Couple struct {
-	Base, Driver Process
-	Gain         float64
-}
-
-// Generate implements Process.
-func (c Couple) Generate(n int, rng *rand.Rand) []float64 {
-	base := c.Base.Generate(n, rng)
-	drv := c.Driver.Generate(n, rng)
-	// Normalize the driver to [0,1] by its own range to keep Gain portable.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range drv {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	span := hi - lo
-	v := make([]float64, n)
-	for i := range v {
-		d := 0.0
-		if span > 0 {
-			d = (drv[i] - lo) / span
-		}
-		v[i] = base[i] * (1 + c.Gain*d)
 	}
 	return v
 }

@@ -333,23 +333,6 @@ func processFor(vm VMID, metric Metric, prof Profile) Process {
 	}
 }
 
-// phaseFor staggers diurnal peaks across VMs so their cycles are not
-// synchronized.
-func phaseFor(vm VMID) float64 {
-	switch vm {
-	case VM1:
-		return 0
-	case VM2:
-		return 0.9
-	case VM3:
-		return 1.7
-	case VM4:
-		return 2.6
-	default:
-		return 3.4
-	}
-}
-
 // Load15 generates the Figure 4 trace "VM2_load15": the CPU fifteen-minute
 // load average of VM2 over a 12-hour period sampled every 5 minutes (144
 // samples). A 15-minute load average is a heavily smoothed view of

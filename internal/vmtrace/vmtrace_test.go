@@ -259,14 +259,12 @@ func TestProcessGenerators(t *testing.T) {
 	}{
 		{"ARSource", ARSource{Phi: []float64{0.5}, Noise: 1, Mean: 10, Scale: 2}},
 		{"OnOff", OnOff{POnToOff: 0.1, POffToOn: 0.1, OffLevel: 0, OnLevel: 10, Jitter: 1}},
-		{"Diurnal", Diurnal{Amplitude: 5, Period: 288}},
 		{"RandomSteps", RandomSteps{PJump: 0.05, LevelMin: 0, LevelMax: 10, Jitter: 0.1}},
 		{"Spikes", Spikes{Rate: 0.1, Floor: 1, MagMin: 5, MagMax: 10, Decay: 0.5}},
 		{"MeanReverting", MeanReverting{Reversion: 0.3, LevelDrift: 0.5, Noise: 1, Mean: 5}},
 		{"Constant", Constant{Level: 3}},
 		{"Sum", Sum{Constant{Level: 1}, Constant{Level: 2}}},
 		{"ClampMin", ClampMin{P: ARSource{Phi: nil, Noise: 5}, Min: 0}},
-		{"Couple", Couple{Base: Constant{Level: 2}, Driver: Diurnal{Amplitude: 1, Period: 10}, Gain: 1}},
 	}
 	for _, c := range cases {
 		v := c.p.Generate(100, rng)
@@ -291,16 +289,6 @@ func TestProcessGenerators(t *testing.T) {
 	for _, x := range cl {
 		if x != 0 {
 			t.Errorf("ClampMin = %g, want 0", x)
-		}
-	}
-}
-
-func TestDiurnalPeriodicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	v := Diurnal{Amplitude: 2, Period: 24}.Generate(48, rng)
-	for i := 0; i < 24; i++ {
-		if math.Abs(v[i]-v[i+24]) > 1e-9 {
-			t.Fatalf("diurnal not periodic at %d", i)
 		}
 	}
 }

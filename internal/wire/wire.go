@@ -81,15 +81,6 @@ const (
 	StatusInvalid Status = 4
 )
 
-// Retryable reports whether a client should resend the batch unchanged.
-func (s Status) Retryable() bool {
-	switch s {
-	case StatusBacklog, StatusDraining, StatusRetry:
-		return true
-	}
-	return false
-}
-
 func (s Status) String() string {
 	switch s {
 	case StatusOK:

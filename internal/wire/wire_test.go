@@ -195,7 +195,7 @@ func TestServerDrainingShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Status != StatusDraining || !ack.Status.Retryable() {
+	if ack.Status != StatusDraining {
 		t.Fatalf("ack %+v", ack)
 	}
 	if called {
