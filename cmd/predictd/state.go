@@ -2,8 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -19,7 +17,7 @@ import (
 // Durable state is one file, <dir>/predictd.snap, written via
 // durable.WriteFileAtomic so a crash mid-snapshot leaves the previous
 // complete snapshot in place. It is one durable frame (magic "LARPRED2",
-// payload, CRC32-IEEE footer) whose payload is a single gob stream: a
+// payload, CRC32-IEEE footer) whose payload is a server record stream: a
 // snapHeader, then exactly header.Streams snapRecords, then nothing. Save
 // captures, encodes and writes one stream at a time, and restore verifies
 // the whole frame's checksum first and then decodes and applies one record
@@ -39,7 +37,7 @@ import (
 
 const snapMagic = "LARPRED2"
 
-// snapHeader opens the snapshot's gob stream.
+// snapHeader opens the snapshot's record stream.
 type snapHeader struct {
 	// Fingerprint digests the predictor-shaping options; a snapshot written
 	// under one fingerprint is not restored under another.
@@ -52,12 +50,10 @@ type snapHeader struct {
 	Streams int
 }
 
-// snapRecord is one stream's entry in the snapshot. Its field names are the
-// file format: gob matches fields by name.
-type snapRecord struct {
-	ID    string
-	State server.StreamState
-}
+// snapRecord is one stream's entry in the snapshot, the record the
+// cluster's warm handoff ships too. The snapshot writes it without its
+// dedup fields: the header carries the whole table.
+type snapRecord = server.StreamRecord
 
 // snapStore owns a predictd state directory.
 type snapStore struct {
@@ -99,11 +95,11 @@ func openSnapStore(dir, fingerprint string, reg *obs.Registry) (*snapStore, erro
 
 func (st *snapStore) path() string { return filepath.Join(st.dir, "predictd.snap") }
 
-// save captures every stream's state (server.CaptureStream) and writes one
-// atomic checksummed file, one stream at a time: each stream is captured
-// into a reused buffer, then encoded and written outside its shard lock.
-// dedup, when non-nil, is the idempotency table to persist alongside (WAL
-// mode).
+// save captures every stream's state and writes one atomic checksummed
+// file, one stream at a time (server.RecordWriter): each stream is
+// captured into a reused buffer, then encoded and written outside its shard
+// lock. dedup, when non-nil, is the idempotency table to persist alongside
+// (WAL mode).
 func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 	hist *server.HistoryStore, dedup *server.Dedup) error {
 	hdr := snapHeader{Fingerprint: st.fingerprint}
@@ -119,18 +115,13 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 		if err != nil {
 			return err
 		}
-		enc := gob.NewEncoder(fw)
-		if err := enc.Encode(&hdr); err != nil {
-			return fmt.Errorf("encode snapshot header: %w", err)
+		rw, err := server.NewRecordWriter(fw, &hdr)
+		if err != nil {
+			return fmt.Errorf("snapshot: %w", err)
 		}
-		var online bytes.Buffer
 		for _, id := range ids {
-			state, err := server.CaptureStream(eng, cache, hist, id, &online, nil)
-			if err != nil {
+			if err := rw.WriteStream(eng, cache, hist, nil, id); err != nil {
 				return fmt.Errorf("save: %w", err)
-			}
-			if err := enc.Encode(&snapRecord{ID: id, State: state}); err != nil {
-				return fmt.Errorf("encode %s: %w", id, err)
 			}
 		}
 		if err := fw.Close(); err != nil {
@@ -147,7 +138,8 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 
 // restore performs the warm restart: it verifies the snapshot (quarantining
 // a damaged one and cold-starting) and installs each stream's state
-// (server.InstallStream), so the first forecast and history reads need no
+// (server.InstallStream) as soon as its record decodes
+// (server.RecordReader), so the first forecast and history reads need no
 // new samples. It returns how many streams were restored. A record whose
 // predictor state does not load (engine.ErrBadState) cold-starts that
 // stream; any other install error fails startup. logw receives one line
@@ -171,13 +163,10 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 	// The checksum verified, so a payload that does not decode was written
 	// wrong, not damaged on disk. Cold-starting would be unsafe once the
 	// dedup table is restored, so startup fails and the file stays put.
-	undecodable := func(what string, err error) error {
-		return fmt.Errorf("snapshot %s: %s does not decode: %w", path, what, err)
-	}
-	dec := gob.NewDecoder(bufio.NewReaderSize(fr, 64<<10))
 	var hdr snapHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, undecodable("the header", err)
+	rr, err := server.NewRecordReader(bufio.NewReaderSize(fr, 64<<10), &hdr)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot %s: %w", path, err)
 	}
 	if hdr.Fingerprint != st.fingerprint {
 		// Valid snapshot from another configuration: not damage, just
@@ -192,31 +181,22 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 	hdr.Dedup = server.DedupState{} // garbage before the streams arrive
 
 	restored := 0
-	rec := new(snapRecord)
-	for i := 0; i < hdr.Streams; i++ {
-		// Zeroed each time: gob leaves fields absent from the stream (zero
-		// values) untouched, so the previous stream's state would leak.
-		*rec = snapRecord{}
-		if err := dec.Decode(rec); err != nil {
-			return restored, undecodable(fmt.Sprintf("record %d of %d", i, hdr.Streams), err)
-		}
+	err = rr.ReadRecords(hdr.Streams, func(rec *snapRecord) error {
 		switch err := server.InstallStream(eng, cache, hist, rec.ID, rec.State); {
 		case errors.Is(err, engine.ErrBadState):
 			// A record this configuration cannot load: cold-start the
 			// stream. Any other error is the daemon's, so startup fails.
 			fmt.Fprintf(logw, "predictd: %s: cold starting stream: %v\n", rec.ID, err)
-			continue
+			return nil
 		case err != nil:
-			return restored, fmt.Errorf("restore %s: %w", rec.ID, err)
+			return fmt.Errorf("restore %s: %w", rec.ID, err)
 		}
 		restored++
 		st.restored.Inc()
-	}
-	switch err := dec.Decode(&snapRecord{}); {
-	case err == nil:
-		return restored, fmt.Errorf("snapshot %s: holds more records than its header's %d", path, hdr.Streams)
-	case !errors.Is(err, io.EOF):
-		return restored, undecodable("the bytes after its last record", err)
+		return nil
+	})
+	if err != nil {
+		return restored, fmt.Errorf("snapshot %s: %w", path, err)
 	}
 	return restored, nil
 }

@@ -51,7 +51,7 @@ type peerHealth struct {
 // peer GETs the peer's /v1/cluster/heartbeat every HeartbeatEvery, each
 // probe bounded by that same interval. SuspectAfter consecutive misses demote Alive→Suspect;
 // staying Suspect for DownAfter confirms Down. Any successful probe
-// restores Alive immediately (and fires onAlive — the rejoin signal).
+// restores Alive immediately.
 type detector struct {
 	self           string
 	heartbeatEvery time.Duration
@@ -61,8 +61,7 @@ type detector struct {
 	httpc *http.Client
 	logw  io.Writer
 
-	onAlive func(peer string) // fired on Down/Suspect → Alive transitions
-	state   *obs.GaugeVec     // predictd_cluster_node_state{node}
+	state *obs.GaugeVec // predictd_cluster_node_state{node}
 
 	mu    sync.Mutex
 	peers map[string]*peerHealth
@@ -206,9 +205,6 @@ func (d *detector) noteSuccess(id, binaryAddr string) {
 	if prev != StateAlive {
 		d.setGauge(id, StateAlive)
 		fmt.Fprintf(d.logw, "cluster[%s]: peer %s %s -> alive\n", d.self, id, prev)
-		if d.onAlive != nil {
-			d.onAlive(id)
-		}
 	}
 }
 

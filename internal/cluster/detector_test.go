@@ -43,8 +43,6 @@ func TestDetectorLifecycle(t *testing.T) {
 	addr, up := startPeer(t)
 	d := newDetector("self", map[string]string{"p": addr},
 		10*time.Millisecond, 2, 50*time.Millisecond, nil, io.Discard)
-	var rejoined atomic.Int32
-	d.onAlive = func(peer string) { rejoined.Add(1) }
 	d.start()
 	defer d.close()
 
@@ -68,11 +66,11 @@ func TestDetectorLifecycle(t *testing.T) {
 		t.Fatal("down peer must be excluded from routing")
 	}
 
-	// One successful probe restores alive and fires the rejoin signal.
+	// One successful probe restores alive, and the peer routes again.
 	up.Store(true)
 	waitState(t, d, "p", StateAlive, time.Second)
-	if rejoined.Load() == 0 {
-		t.Fatal("onAlive never fired for the rejoined peer")
+	if !d.alive("p") {
+		t.Fatal("rejoined peer must be routable again")
 	}
 }
 

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -109,38 +107,14 @@ func (n *Node) Handler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		var req handoffRequest
-		if err := decodeJSON(r.Body, &req, 1<<20); err != nil || req.Node == "" {
-			http.Error(w, "bad handoff request", http.StatusBadRequest)
+		// The requester names itself in ?node=. A peer of an earlier
+		// release names itself in a JSON body instead and gets this 400.
+		requester := r.URL.Query().Get("node")
+		if _, ok := n.allAddrs[requester]; !ok {
+			http.Error(w, "bad handoff request: ?node= names no member", http.StatusBadRequest)
 			return
 		}
-		if _, ok := n.allAddrs[req.Node]; !ok {
-			http.Error(w, "unknown member", http.StatusBadRequest)
-			return
-		}
-		doc := n.handoffFor(req.Node)
-		fmt.Fprintf(n.cfg.Logw, "cluster[%s]: served handoff of %d streams to %s\n",
-			n.cfg.Self, len(doc.Streams), req.Node)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(doc)
+		n.serveHandoff(w, requester)
 	})
 	return mux
-}
-
-// jsonBody encodes v for a request body.
-func jsonBody(v any) (io.Reader, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return &buf, nil
-}
-
-// decodeJSON strictly decodes one JSON document of at most limit bytes.
-func decodeJSON(r io.Reader, v any, limit int64) error {
-	dec := json.NewDecoder(io.LimitReader(r, limit))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
 }

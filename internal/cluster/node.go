@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,10 +81,11 @@ type Config struct {
 	DownAfter      time.Duration
 
 	// Engine, Cache, Dedup, and History are the node's serving state. Warm
-	// handoffs ship each stream's predictor, serving snapshot and history
-	// rings (server.StreamState), so a failover replica (and a rejoining
-	// node) serves range queries without a gap; the engine's own NewStream
-	// builds each installed predictor.
+	// handoffs ship each stream's predictor, serving snapshot, history rings
+	// and dedup coverage as one record of the snapshot's record stream
+	// (server.StreamRecord), so a failover replica (and a rejoining node)
+	// serves range queries without a gap; the engine's own NewStream builds
+	// each installed predictor.
 	Engine  *engine.Engine
 	Cache   *server.ResultCache
 	Dedup   *server.Dedup
@@ -228,7 +229,6 @@ func New(cfg Config) (*Node, error) {
 
 	n.det = newDetector(cfg.Self, n.addrs, cfg.HeartbeatEvery,
 		cfg.SuspectAfter, cfg.DownAfter, nodeState, cfg.Logw)
-	n.det.onAlive = func(peer string) { /* routing recomputes lazily; nothing to do */ }
 
 	for id, addr := range n.addrs {
 		fc, err := client.New(client.Config{
@@ -479,154 +479,119 @@ func groupBySource(batch []server.KeyedSample) []sourceGroup {
 
 // ---- warm handoff ----
 
-// handoffStream is one stream's shipped state plus the dedup coverage
-// proving which keyed samples it reflects. The embedded state's fields are
-// top-level keys of the JSON document.
-type handoffStream struct {
-	server.StreamState
-	Applied uint64                         `json:"applied"`
-	Windows map[string]server.SourceWindow `json:"windows,omitempty"`
-}
-
-// handoffDoc is the POST /v1/cluster/handoff response.
-type handoffDoc struct {
-	Node    string                   `json:"node"`
-	Streams map[string]handoffStream `json:"streams"`
-}
-
-// handoffRequest is the POST /v1/cluster/handoff body.
-type handoffRequest struct {
-	Node string `json:"node"`
-}
-
-// handoffFor captures every local stream the requester owns or follows.
-// The engine is drained first so predictor state reflects every sample the
-// dedup table has admitted; per-stream capture is server.CaptureStream, the
-// durable snapshot's path, which also reads the dedup windows under the
-// stream's shard lock.
-func (n *Node) handoffFor(requester string) handoffDoc {
-	doc := handoffDoc{Node: n.cfg.Self, Streams: map[string]handoffStream{}}
+// serveHandoff writes the record stream of every local stream the
+// requester owns or follows: the number of records, then the records. The
+// engine is drained first so predictor state reflects every sample the
+// dedup table has admitted. Each stream is captured and written on its own
+// (server.RecordWriter), its record carrying the dedup windows read under
+// the same shard lock as its state, so the response never holds more than
+// one stream. A capture or write error ends the response early; the puller
+// sees the missing records and keeps the ones it installed.
+func (n *Node) serveHandoff(w http.ResponseWriter, requester string) {
 	n.cfg.Engine.Drain()
 	var ids []string
 	n.cfg.Engine.Each(func(id string, _ engine.StreamStats) { ids = append(ids, id) })
-	for _, id := range ids {
-		wanted := false
-		for _, m := range n.replicaSet(id) {
-			if m == requester {
-				wanted = true
-				break
-			}
-		}
-		if !wanted {
-			continue
-		}
-		// A fresh buffer per stream: the document holds every capture. The
-		// dedup windows are read under the same shard lock as the state.
-		var hs handoffStream
-		var err error
-		hs.StreamState, err = server.CaptureStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, id, new(bytes.Buffer),
-			func() { hs.Windows, hs.Applied, _ = n.cfg.Dedup.StreamState(id) })
-		if err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff %v\n", n.cfg.Self, err)
-			continue
-		}
-		doc.Streams[id] = hs
-		if n.handoffServed != nil {
-			n.handoffServed.Inc()
+	ids = slices.DeleteFunc(ids, func(id string) bool {
+		return !slices.Contains(n.replicaSet(id), requester)
+	})
+	rw, err := server.NewRecordWriter(w, len(ids))
+	served := 0
+	for err == nil && served < len(ids) {
+		if err = rw.WriteStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, n.cfg.Dedup, ids[served]); err == nil {
+			served++
 		}
 	}
-	return doc
+	n.handoffServed.Add(uint64(served))
+	if err != nil {
+		fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff to %s cut after %d of %d streams: %v\n",
+			n.cfg.Self, requester, served, len(ids), err)
+		return
+	}
+	fmt.Fprintf(n.cfg.Logw, "cluster[%s]: served handoff of %d streams to %s\n",
+		n.cfg.Self, served, requester)
+}
+
+// heldStream is the state PullHandoff compares a stream's records with.
+type heldStream struct {
+	applied   uint64
+	lastTS    int64
+	serving   bool // lastTS is known: a cache entry exists
+	installed bool // a peer's record was installed
 }
 
 // PullHandoff asks every peer for the streams this node owns or follows
-// and installs the results: per stream, the response with the highest
-// applied count supplies the predictor and serving snapshot (when it is
-// ahead of local state), and the dedup windows of every response merge
-// into the local table. Callers run it after restoring their own snapshot
+// and takes in each record as it arrives: its dedup windows merge into the
+// local table, and its state is installed when it is strictly ahead of the
+// state this node holds. Ahead means a higher applied count, or an equal
+// count and a later serving snapshot; the state held starts as the local
+// one and becomes each installed record's, so the result is the freshest
+// copy in the cluster. Callers run it after restoring their own snapshot
 // and before replaying their WAL, so replay applies exactly the samples no
-// copy has seen. Peer failures are logged and skipped — at cold bootstrap
-// nobody answers and that is fine.
+// copy has seen. Peer failures are logged and skipped (at cold bootstrap
+// nobody answers, and that is fine); a response cut short keeps the
+// records that arrived whole. It returns how many streams were installed.
 func (n *Node) PullHandoff(ctx context.Context) (restored int) {
-	type remote struct {
-		hs   handoffStream
-		from string
-	}
-	best := map[string]remote{}
-	// localApplied is each stream's applied count before any merge — the
-	// comparison base for "is the remote predictor ahead of mine". Captured
-	// lazily, because MergeStream rewrites the count as coverage unions in.
-	localApplied := map[string]uint64{}
-	for id, addr := range n.addrs {
-		doc, err := n.requestHandoff(ctx, addr)
+	held := map[string]*heldStream{}
+	for peer, addr := range n.addrs {
+		err := n.pullHandoff(ctx, addr, func(rec *server.StreamRecord) error {
+			h := held[rec.ID]
+			if h == nil {
+				// The local state, read before the first merge: MergeStream
+				// rewrites the applied count as coverage unions in.
+				h = &heldStream{}
+				h.applied, _ = n.cfg.Dedup.Applied(rec.ID)
+				local, ok := n.cfg.Cache.Latest(rec.ID)
+				h.lastTS, h.serving = local.LastTS, ok
+				held[rec.ID] = h
+			}
+			n.cfg.Dedup.MergeStream(rec.ID, rec.Windows)
+			lastTS := rec.State.Cache.LastTS
+			if rec.Applied < h.applied || rec.Applied == h.applied && h.serving && lastTS <= h.lastTS {
+				return nil
+			}
+			// InstallStream takes the peer's history only when it is ahead:
+			// the record won on applied count, but a local ring rebuilt by
+			// WAL replay could still be longer for unkeyed traffic.
+			if err := server.InstallStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, rec.ID, rec.State); err != nil {
+				fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff install %s from %s: %v\n", n.cfg.Self, rec.ID, peer, err)
+				return nil
+			}
+			h.applied, h.lastTS, h.serving = rec.Applied, lastTS, true
+			if !h.installed {
+				h.installed = true
+				restored++
+				n.handoffReceived.Inc()
+			}
+			return nil
+		})
 		if err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff pull from %s: %v\n", n.cfg.Self, id, err)
-			continue
-		}
-		for stream, hs := range doc.Streams {
-			if _, seen := localApplied[stream]; !seen {
-				la, _ := n.cfg.Dedup.Applied(stream)
-				localApplied[stream] = la
-			}
-			n.cfg.Dedup.MergeStream(stream, hs.Windows)
-			cur, ok := best[stream]
-			if !ok || hs.Applied > cur.hs.Applied ||
-				(hs.Applied == cur.hs.Applied && hs.Cache.LastTS > cur.hs.Cache.LastTS) {
-				best[stream] = remote{hs: hs, from: id}
-			}
-		}
-	}
-	for stream, r := range best {
-		// Install the remote predictor only when it has provably applied
-		// more than the local copy had; ties (including the all-unkeyed
-		// case, 0 == 0) break on serving-snapshot freshness. Otherwise the
-		// local snapshot + WAL replay is at least as complete.
-		if r.hs.Applied < localApplied[stream] {
-			continue
-		}
-		if r.hs.Applied == localApplied[stream] {
-			if local, ok := n.cfg.Cache.Latest(stream); ok && local.LastTS >= r.hs.Cache.LastTS {
-				continue
-			}
-		}
-		// InstallStream takes the peer's history only when it is ahead: the
-		// winner was picked on applied count, but a local ring rebuilt by WAL
-		// replay could still be longer for unkeyed traffic.
-		err := server.InstallStream(n.cfg.Engine, n.cfg.Cache, n.cfg.History, stream, r.hs.StreamState)
-		if err != nil {
-			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff install %s from %s: %v\n", n.cfg.Self, stream, r.from, err)
-			continue
-		}
-		restored++
-		if n.handoffReceived != nil {
-			n.handoffReceived.Inc()
+			fmt.Fprintf(n.cfg.Logw, "cluster[%s]: handoff pull from %s: %v\n", n.cfg.Self, peer, err)
 		}
 	}
 	return restored
 }
 
-func (n *Node) requestHandoff(ctx context.Context, addr string) (*handoffDoc, error) {
-	body, err := jsonBody(handoffRequest{Node: n.cfg.Self})
-	if err != nil {
-		return nil, err
-	}
+// pullHandoff requests the handoff of the peer at addr and passes each
+// record to take as it decodes (server.RecordReader).
+func (n *Node) pullHandoff(ctx context.Context, addr string, take func(*server.StreamRecord) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+addr+"/v1/cluster/handoff", body)
+		"http://"+addr+"/v1/cluster/handoff?node="+url.QueryEscape(n.cfg.Self), nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.handoffc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
+		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
 	}
-	var doc handoffDoc
-	if err := decodeJSON(resp.Body, &doc, 256<<20); err != nil {
-		return nil, err
+	var streams int
+	rr, err := server.NewRecordReader(resp.Body, &streams)
+	if err != nil {
+		return err
 	}
-	return &doc, nil
+	return rr.ReadRecords(streams, take)
 }

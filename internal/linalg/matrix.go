@@ -130,30 +130,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("linalg: Add %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrDimension)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("linalg: Sub %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrDimension)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {

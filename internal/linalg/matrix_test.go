@@ -195,29 +195,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestAddSubMatrix(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
-	b := mustFromRows(t, [][]float64{{4, 3}, {2, 1}})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(0, 0) != 5 || sum.At(1, 1) != 5 {
-		t.Errorf("Add wrong: %v", sum)
-	}
-	diff, err := sum.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 2; c++ {
-			if diff.At(r, c) != a.At(r, c) {
-				t.Fatal("Add then Sub is not identity")
-			}
-		}
-	}
-}
-
 func TestColumnMeans(t *testing.T) {
 	m := mustFromRows(t, [][]float64{{1, 10}, {3, 20}})
 	means := m.ColumnMeans()

@@ -30,11 +30,19 @@ func TestPowerBackendMatchesJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pow.Components() != 2 {
-		t.Fatalf("power kept %d", pow.Components())
+	if pow.Components() != 2 || pow.InputDim() != 6 {
+		t.Fatalf("power kept %d of %d dimensions", pow.Components(), pow.InputDim())
 	}
 	// Same leading eigenvalues.
-	je, pe := jac.Eigenvalues(), pow.Eigenvalues()
+	js, err := jac.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := pow.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	je, pe := js.Eigenvalues, ps.Eigenvalues
 	for i := 0; i < 2; i++ {
 		if math.Abs(je[i]-pe[i]) > 1e-6*(1+je[i]) {
 			t.Errorf("eigenvalue %d: jacobi %g power %g", i, je[i], pe[i])

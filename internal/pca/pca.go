@@ -179,15 +179,6 @@ func (p *PCA) Components() int { return p.kept }
 // InputDim returns the dimensionality the transform was fitted on.
 func (p *PCA) InputDim() int { return len(p.mean) }
 
-// Eigenvalues returns a copy of the known descending eigenvalue spectrum
-// (the full spectrum for the Jacobi backend; the leading components for the
-// power-iteration backend).
-func (p *PCA) Eigenvalues() []float64 {
-	out := make([]float64, len(p.eigvals))
-	copy(out, p.eigvals)
-	return out
-}
-
 // Transform projects a single window onto the kept components.
 func (p *PCA) Transform(row []float64) ([]float64, error) {
 	return p.TransformInto(nil, row)

@@ -234,19 +234,3 @@ func TestZeroVarianceTrainingData(t *testing.T) {
 		t.Errorf("degenerate total variance = %g, want 0", p.totVar)
 	}
 }
-
-func TestEigenvaluesCopy(t *testing.T) {
-	rows := [][]float64{{1, 0}, {0, 1}, {2, 2}}
-	p, err := Fit(rows, FixedComponents(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := p.Eigenvalues()
-	ev[0] = -999
-	if p.Eigenvalues()[0] == -999 {
-		t.Error("Eigenvalues exposed internal storage")
-	}
-	if p.InputDim() != 2 {
-		t.Errorf("InputDim = %d", p.InputDim())
-	}
-}

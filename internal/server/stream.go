@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 
 	"github.com/acis-lab/larpredictor/internal/core"
 	"github.com/acis-lab/larpredictor/internal/engine"
@@ -11,13 +14,13 @@ import (
 // StreamState is everything a stream needs to serve and keep learning on
 // another daemon: the core codec's framed predictor bytes, the serving
 // snapshot (latest observation and forecast), and the forecast-history
-// rings. predictd's durable snapshot (gob) and the cluster's warm handoff
-// (JSON) both carry it; gob matches fields by name, so snapshots written
-// before this type existed still decode.
+// rings. predictd's durable snapshot and the cluster's warm handoff both
+// carry it inside a StreamRecord; gob matches fields by name, so snapshots
+// written before this type existed still decode.
 type StreamState struct {
-	Online  []byte       `json:"online"`
-	Cache   Snapshot     `json:"cache"`
-	History HistoryState `json:"history"`
+	Online  []byte
+	Cache   Snapshot
+	History HistoryState
 }
 
 // CaptureStream reads one stream's state inside eng.Do, which holds the
@@ -65,6 +68,114 @@ func InstallStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
 	cache.Restore(id, st.Cache)
 	if st.History.Seq > hist.Seq(id) {
 		hist.Restore(id, st.History)
+	}
+	return nil
+}
+
+// StreamRecord is one stream's entry in a record stream, the encoding
+// predictd's snapshot and the cluster's warm handoff share: one gob stream
+// of a header value and then exactly as many records as the header
+// announces, so type descriptors are written once and either side holds
+// one stream at a time. Field names are the format: gob matches them by
+// name, and fields absent from the stream decode as zero.
+type StreamRecord struct {
+	ID    string
+	State StreamState
+	// Applied and Windows are the stream's dedup coverage, read under the
+	// same shard lock as State. Only the handoff carries them; a snapshot's
+	// header holds the whole dedup table.
+	Applied uint64
+	Windows map[string]SourceWindow
+}
+
+// bareRecord is a StreamRecord without its dedup coverage. A stream
+// written without coverage (predictd's snapshot) encodes this type, so its
+// files hold no type descriptors for fields they always leave empty, and
+// they decode into StreamRecord all the same.
+type bareRecord struct {
+	ID    string
+	State StreamState
+}
+
+// RecordWriter writes a record stream.
+type RecordWriter struct {
+	enc  *gob.Encoder
+	buf  bytes.Buffer // the predictor bytes of the record being written
+	rec  StreamRecord
+	bare bareRecord
+}
+
+// NewRecordWriter opens a record stream on w and writes its header.
+func NewRecordWriter(w io.Writer, hdr any) (*RecordWriter, error) {
+	rw := &RecordWriter{enc: gob.NewEncoder(w)}
+	if err := rw.enc.Encode(hdr); err != nil {
+		return nil, fmt.Errorf("encode header: %w", err)
+	}
+	return rw, nil
+}
+
+// WriteStream captures stream id and writes its record outside the shard
+// lock. With dedup non-nil the record carries the stream's coverage.
+func (rw *RecordWriter) WriteStream(eng *engine.Engine, cache *ResultCache,
+	hist *HistoryStore, dedup *Dedup, id string) error {
+	rw.rec = StreamRecord{ID: id}
+	var also func()
+	if dedup != nil {
+		also = func() { rw.rec.Windows, rw.rec.Applied, _ = dedup.StreamState(id) }
+	}
+	var err error
+	if rw.rec.State, err = CaptureStream(eng, cache, hist, id, &rw.buf, also); err != nil {
+		return err
+	}
+	var v any = &rw.rec
+	if dedup == nil {
+		rw.bare = bareRecord{ID: id, State: rw.rec.State}
+		v = &rw.bare
+	}
+	if err := rw.enc.Encode(v); err != nil {
+		return fmt.Errorf("encode %s: %w", id, err)
+	}
+	return nil
+}
+
+// RecordReader reads a record stream written by RecordWriter.
+type RecordReader struct {
+	dec *gob.Decoder
+	rec StreamRecord
+}
+
+// NewRecordReader decodes the header of the record stream on r into hdr.
+func NewRecordReader(r io.Reader, hdr any) (*RecordReader, error) {
+	rr := &RecordReader{dec: gob.NewDecoder(r)}
+	if err := rr.dec.Decode(hdr); err != nil {
+		return nil, fmt.Errorf("the header does not decode: %w", err)
+	}
+	return rr, nil
+}
+
+// ReadRecords decodes n records one at a time and passes each to fn once
+// it has decoded whole; fn must not keep the pointer, which the next record
+// reuses. A record that does not decode, a cut one included, never reaches
+// fn and stops the read with an error naming it; fn's own error stops it
+// as is. After the n-th record the stream must end.
+func (rr *RecordReader) ReadRecords(n int, fn func(*StreamRecord) error) error {
+	for i := 0; i < n; i++ {
+		// Zeroed each time: gob leaves fields absent from the stream (zero
+		// values) untouched, so the previous stream's state would leak.
+		rr.rec = StreamRecord{}
+		if err := rr.dec.Decode(&rr.rec); err != nil {
+			return fmt.Errorf("record %d of %d does not decode: %w", i, n, err)
+		}
+		if err := fn(&rr.rec); err != nil {
+			return err
+		}
+	}
+	rr.rec = StreamRecord{}
+	switch err := rr.dec.Decode(&rr.rec); {
+	case err == nil:
+		return fmt.Errorf("holds more records than its header's %d", n)
+	case !errors.Is(err, io.EOF):
+		return fmt.Errorf("the bytes after its last record do not decode: %w", err)
 	}
 	return nil
 }
