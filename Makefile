@@ -125,7 +125,7 @@ bench:
 #   make bench-guard
 # benchstat's delta table prints first so a failing gate always comes with
 # the readable comparison right above the verdict.
-GUARD_BENCH := BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$$|BenchmarkIngestWAL|BenchmarkClusterForward|BenchmarkForecastReadQPS|BenchmarkHistoryRecord|BenchmarkIngestBinaryVsJSON|BenchmarkTournamentSelect|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore|BenchmarkLARTrain
+GUARD_BENCH := BenchmarkForecastPath|BenchmarkEngineThroughput/streams=10000$$|BenchmarkIngestWAL|BenchmarkClusterForward|BenchmarkForecastReadQPS|BenchmarkHistoryRecord|BenchmarkHistoryRecordStreams|BenchmarkIngestBinaryVsJSON|BenchmarkTournamentSelect|BenchmarkKNNSearch|BenchmarkDedupApply|BenchmarkSnapshotRestore|BenchmarkLARTrain
 
 print-guard-bench:
 	@echo '$(GUARD_BENCH)'

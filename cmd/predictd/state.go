@@ -141,8 +141,9 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 // (server.InstallStream) as soon as its record decodes
 // (server.RecordReader), so the first forecast and history reads need no
 // new samples. It returns how many streams were restored. A record whose
-// predictor state does not load (engine.ErrBadState) cold-starts that
-// stream; any other install error fails startup. logw receives one line
+// state does not load (engine.ErrBadState: predictor bytes that do not
+// restore, or history naming more experts than the store holds) cold-starts
+// that stream; any other install error fails startup. logw receives one line
 // per abnormal event. dedup, when non-nil, receives the snapshot's
 // idempotency table so WAL replay and client retries dedup against
 // everything the snapshot covers. A snapshot written under a different

@@ -21,14 +21,18 @@ import (
 // actually plot, and also keeps the forecast issued at the step so the
 // subscription feed can replay complete events from the ring.
 //
-// The raw ring keeps each step compact (rawEntry): the step counter follows
-// from the ring position and the targeting forecast from the steps before
-// it, so the full HistoryEntry is rebuilt only on read. Every ring grows on
-// demand, doubling up to its configured length, so a new or short-lived
-// stream holds only the history it has. Once a stream's rings reach their
-// configured length, Record is zero-allocation. Writers are the engine's
-// shard workers (one per stream); readers are HTTP handlers. A per-stream
-// mutex covers both.
+// Live history is kept compact and free of pointers. Every expert name is
+// a uint16 index into the store's name table (nameTable). The raw ring
+// keeps each step as a rawEntry: the step counter follows from the ring
+// position and the targeting forecast from the steps before it. A closed
+// tier row (row) is exactly its tier's steps long and the rows run
+// contiguously up to the open bucket, so its count and step bounds follow
+// from its ring position. Full HistoryEntry and HistoryRow values are
+// rebuilt only on read. Every ring grows on demand, doubling up to its
+// configured length, so a new or short-lived stream holds only the history
+// it has. Once a stream's rings reach their configured length, Record is
+// zero-allocation. Writers are the engine's shard workers (one per stream);
+// readers are HTTP handlers. A per-stream mutex covers both.
 
 // HistoryEntry is one raw step in a stream's forecast history. It is also
 // a wire type: history range responses and SSE backfills serve it as JSON,
@@ -114,82 +118,129 @@ func (c HistoryConfig) withDefaults() (HistoryConfig, error) {
 	}
 	prev := 1
 	for _, t := range c.Tiers {
-		if t.Steps <= prev || t.Rows < 1 {
-			return c, fmt.Errorf("server: history tier %+v: steps must increase (> %d) and rows be positive", t, prev)
+		// A closed row keeps its forecast count in 32 bits.
+		if t.Steps <= prev || uint64(t.Steps) > math.MaxUint32 || t.Rows < 1 {
+			return c, fmt.Errorf("server: history tier %+v: steps must increase (> %d) up to %d and rows be positive",
+				t, prev, uint64(math.MaxUint32))
 		}
 		prev = t.Steps
 	}
 	return c, nil
 }
 
-// reset empties the bucket for its next row, keeping Experts' array.
-func (b *HistoryBucketState) reset() {
-	b.Count, b.Predicted = 0, 0
-	b.StartTS, b.EndTS, b.StartSeq, b.EndSeq = 0, 0, 0, 0
-	b.ActualSum, b.PredSum, b.AbsErrSum = 0, 0, 0
-	b.ActualMin, b.ActualMax = 0, 0
-	b.Experts = b.Experts[:0]
+// maxNames is how many entries a name table holds: "" and 65,535 names,
+// one per uint16 index.
+const maxNames = math.MaxUint16 + 1
+
+// nameTable is a HistoryStore's append-only table of expert names. Index 0
+// is "". Names are added to a copy of the table under mu and the copy is
+// published, so readers load the current table without locking, and an
+// index read from a stream under its lock is always in the table loaded
+// after it.
+type nameTable struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[names]
 }
 
-// add folds in step seq, e, targeted by forecast f.
-func (b *HistoryBucketState) add(seq uint64, e *rawEntry, f *forecast) {
-	if b.Count == 0 {
-		b.StartTS, b.StartSeq = e.TS, seq
-		b.ActualMin, b.ActualMax = e.Actual, e.Actual
-	} else {
-		if e.Actual < b.ActualMin {
-			b.ActualMin = e.Actual
+// names is one published version of a nameTable; it is never modified.
+type names struct {
+	list  []string          // index -> name
+	index map[string]uint16 // name -> index, for every name but ""
+}
+
+func (t *nameTable) load() *names { return t.cur.Load() }
+
+// lookup returns name's index, or false when n lacks it.
+func (n *names) lookup(name string) (uint16, bool) {
+	if name == "" {
+		return 0, true
+	}
+	i, ok := n.index[name]
+	return i, ok
+}
+
+// intern returns name's index, adding the name when the table lacks it. A
+// name the full table cannot hold is kept as "".
+func (t *nameTable) intern(name string) uint16 {
+	for {
+		cur := t.load()
+		if i, ok := cur.lookup(name); ok {
+			return i
 		}
-		if e.Actual > b.ActualMax {
-			b.ActualMax = e.Actual
+		if ok, err := t.extend(cur, []string{name}); err != nil {
+			return 0
+		} else if ok {
+			return uint16(len(cur.list))
 		}
 	}
-	b.Count++
-	b.EndTS, b.EndSeq = e.TS, seq
-	b.ActualSum += e.Actual
-	if f.HasPred {
-		b.Predicted++
-		b.PredSum += f.Pred
-		b.AbsErrSum += math.Abs(f.Pred - e.Actual)
-		found := false
-		for i := range b.Experts {
-			if b.Experts[i].Name == f.Expert {
-				b.Experts[i].Count++
-				found = true
-				break
+}
+
+// extend publishes base with add appended, so add[k] gets index
+// len(base.list)+k. It reports false, changing nothing, when the table is
+// no longer base, and fails when add does not fit. add holds only names
+// base lacks, each once.
+func (t *nameTable) extend(base *names, add []string) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.load() != base {
+		return false, nil
+	}
+	if len(base.list)+len(add) > maxNames {
+		return false, fmt.Errorf("server: history holds more than %d expert names", maxNames-1)
+	}
+	next := &names{
+		list:  append(base.list[:len(base.list):len(base.list)], add...),
+		index: make(map[string]uint16, len(base.index)+len(add)),
+	}
+	for name, i := range base.index {
+		next.index[name] = i
+	}
+	for k, name := range add {
+		next.index[name] = uint16(len(base.list) + k)
+	}
+	t.cur.Store(next)
+	return true, nil
+}
+
+// interner maps the names of one persisted state to indexes of a table
+// version, base. A name base lacks gets the index it would have appended to
+// base, and load then publishes those names at exactly those indexes.
+// Neighbouring steps and rows mostly name the same expert, so the last name
+// looked up short-cuts the map.
+type interner struct {
+	base    *names
+	last    string
+	lastIdx uint16
+	missing []string          // names base lacks, in index order
+	added   map[string]uint16 // their indexes (wrapping past the table's end)
+}
+
+func (in *interner) index(name string) uint16 {
+	if name == in.last {
+		return in.lastIdx
+	}
+	i, ok := in.base.lookup(name)
+	if !ok {
+		if i, ok = in.added[name]; !ok {
+			if in.added == nil {
+				in.missing, in.added = make([]string, 0, 16), make(map[string]uint16, 16)
 			}
-		}
-		if !found {
-			b.Experts = append(b.Experts, HistoryExpertCount{Name: f.Expert, Count: 1})
+			i = uint16(len(in.base.list) + len(in.missing))
+			in.added[name] = i
+			in.missing = append(in.missing, name)
 		}
 	}
+	in.last, in.lastIdx = name, i
+	return i
 }
 
-// row flattens the accumulator into a consolidated row.
-func (b *HistoryBucketState) row() HistoryRow {
-	r := HistoryRow{
-		StartTS: b.StartTS, EndTS: b.EndTS,
-		StartSeq: b.StartSeq, EndSeq: b.EndSeq,
-		Count: b.Count, Predicted: b.Predicted,
-		ActualMin: b.ActualMin, ActualMax: b.ActualMax,
+// forecast returns a persisted forecast as the store keeps it; one that is
+// not valid carries no values, as a recorded one never does.
+func (in *interner) forecast(pred, std float64, expert string, valid bool) forecast {
+	if !valid {
+		return forecast{}
 	}
-	if b.Count > 0 {
-		r.ActualAvg = b.ActualSum / float64(b.Count)
-	}
-	if b.Predicted > 0 {
-		r.PredAvg = b.PredSum / float64(b.Predicted)
-		r.AbsErrAvg = b.AbsErrSum / float64(b.Predicted)
-	}
-	best := -1
-	for i := range b.Experts {
-		if best < 0 || b.Experts[i].Count > b.Experts[best].Count {
-			best = i
-		}
-	}
-	if best >= 0 {
-		r.Expert = b.Experts[best].Name
-	}
-	return r
+	return forecast{Pred: pred, Std: std, Expert: in.index(expert), HasPred: true}
 }
 
 // ring is a FIFO of at most max items that grows on demand: its backing
@@ -233,30 +284,20 @@ func (r *ring[T]) at(i int) *T {
 	return &r.buf[j]
 }
 
-// load replaces the ring's contents with the newest max of items, oldest
-// first, sized to exactly what it keeps.
-func (r *ring[T]) load(items []T) {
-	if len(items) > r.max {
-		items = items[len(items)-r.max:]
-	}
-	r.buf = append([]T(nil), items...)
-	r.head, r.filled = 0, len(items)
+// fill sizes the ring to exactly n items, n <= max, and returns them,
+// oldest first, for the caller to set.
+func (r *ring[T]) fill(n int) []T {
+	r.buf = make([]T, n)
+	r.head, r.filled = 0, n
+	return r.buf
 }
 
-// historyTier is one consolidated tier's runtime state: a row ring plus the
-// open bucket.
-type historyTier struct {
-	steps  int
-	rows   ring[HistoryRow]
-	bucket HistoryBucketState
-}
-
-// forecast is one issued forecast, valid when HasPred; its fields match
-// HistoryState.Pending's.
+// forecast is one issued forecast, valid when HasPred; Expert indexes the
+// store's name table.
 type forecast struct {
 	Pred    float64
 	Std     float64
-	Expert  string
+	Expert  uint16
 	HasPred bool
 }
 
@@ -277,17 +318,141 @@ type rawEntry struct {
 	Actual     float64
 	Next       float64
 	NextStd    float64
-	NextExpert string
+	NextExpert uint16
 	HasNext    bool
 }
 
 // expand rebuilds the full entry for step seq, targeted by f.
-func (e *rawEntry) expand(seq uint64, f *forecast) HistoryEntry {
+func (e *rawEntry) expand(seq uint64, f *forecast, names []string) HistoryEntry {
 	return HistoryEntry{
 		Seq: seq, TS: e.TS, Actual: e.Actual,
-		Pred: f.Pred, Std: f.Std, Expert: f.Expert, HasPred: f.HasPred,
-		Next: e.Next, NextStd: e.NextStd, NextExpert: e.NextExpert, HasNext: e.HasNext,
+		Pred: f.Pred, Std: f.Std, Expert: names[f.Expert], HasPred: f.HasPred,
+		Next: e.Next, NextStd: e.NextStd, NextExpert: names[e.NextExpert], HasNext: e.HasNext,
 	}
+}
+
+// row is a closed tier row as the ring keeps it. Its Count is the tier's
+// steps, and its StartSeq and EndSeq follow from its ring position: the
+// rows run contiguously up to the open bucket.
+type row struct {
+	StartTS   int64
+	EndTS     int64
+	ActualAvg float64
+	ActualMin float64
+	ActualMax float64
+	PredAvg   float64
+	AbsErrAvg float64
+	Predicted uint32
+	Expert    uint16
+}
+
+// tally is one expert's forecast count within a bucket.
+type tally struct {
+	Expert uint16
+	Count  int
+}
+
+// bucket is a tier's open bucket: the accumulator of raw steps toward one
+// row, persisted as HistoryBucketState. Its steps are the stream's newest
+// Count, so its StartSeq and EndSeq follow from the stream's seq. Experts
+// per stream are few (the pool names plus the fallback rungs), so a small
+// linear array of tallies beats a map and allocates nothing.
+type bucket struct {
+	Count     int
+	Predicted int
+	StartTS   int64
+	EndTS     int64
+	ActualSum float64
+	ActualMin float64
+	ActualMax float64
+	PredSum   float64
+	AbsErrSum float64
+	Experts   []tally
+}
+
+// reset empties the bucket for its next row, keeping Experts' array.
+func (b *bucket) reset() {
+	experts := b.Experts[:0]
+	*b = bucket{Experts: experts}
+}
+
+// add folds in step e, targeted by forecast f.
+func (b *bucket) add(e *rawEntry, f *forecast) {
+	if b.Count == 0 {
+		b.StartTS = e.TS
+		b.ActualMin, b.ActualMax = e.Actual, e.Actual
+	} else {
+		if e.Actual < b.ActualMin {
+			b.ActualMin = e.Actual
+		}
+		if e.Actual > b.ActualMax {
+			b.ActualMax = e.Actual
+		}
+	}
+	b.Count++
+	b.EndTS = e.TS
+	b.ActualSum += e.Actual
+	if f.HasPred {
+		b.Predicted++
+		b.PredSum += f.Pred
+		b.AbsErrSum += math.Abs(f.Pred - e.Actual)
+		for i := range b.Experts {
+			if b.Experts[i].Expert == f.Expert {
+				b.Experts[i].Count++
+				return
+			}
+		}
+		b.Experts = append(b.Experts, tally{Expert: f.Expert, Count: 1})
+	}
+}
+
+// row flattens the accumulator into a closed row.
+func (b *bucket) row() row {
+	r := row{StartTS: b.StartTS, EndTS: b.EndTS, ActualMin: b.ActualMin, ActualMax: b.ActualMax,
+		Predicted: uint32(b.Predicted)}
+	if b.Count > 0 {
+		r.ActualAvg = b.ActualSum / float64(b.Count)
+	}
+	if b.Predicted > 0 {
+		r.PredAvg = b.PredSum / float64(b.Predicted)
+		r.AbsErrAvg = b.AbsErrSum / float64(b.Predicted)
+	}
+	best := -1
+	for i := range b.Experts {
+		if best < 0 || b.Experts[i].Count > b.Experts[best].Count {
+			best = i
+		}
+	}
+	if best >= 0 {
+		r.Expert = b.Experts[best].Expert
+	}
+	return r
+}
+
+// expand rebuilds r in full as a row of count steps ending at step end.
+func (r *row) expand(count int, end uint64, names []string) HistoryRow {
+	return HistoryRow{
+		StartTS: r.StartTS, EndTS: r.EndTS,
+		StartSeq: end - uint64(count) + 1, EndSeq: end,
+		Count: count, Predicted: int(r.Predicted),
+		ActualAvg: r.ActualAvg, ActualMin: r.ActualMin, ActualMax: r.ActualMax,
+		PredAvg: r.PredAvg, AbsErrAvg: r.AbsErrAvg,
+		Expert: names[r.Expert],
+	}
+}
+
+// historyTier is one consolidated tier's runtime state: a row ring plus the
+// open bucket.
+type historyTier struct {
+	steps  int
+	rows   ring[row]
+	bucket bucket
+}
+
+// closedEnd returns the last step of the i-th oldest closed row of a stream
+// at step seq.
+func (t *historyTier) closedEnd(i int, seq uint64) uint64 {
+	return seq - uint64(t.bucket.Count) - uint64(t.rows.filled-1-i)*uint64(t.steps)
 }
 
 // streamHistory is one stream's full history state.
@@ -314,7 +479,7 @@ func (h *HistoryStore) newStream() *streamHistory {
 		tiers: make([]historyTier, len(h.cfg.Tiers)),
 	}
 	for i, t := range h.cfg.Tiers {
-		sh.tiers[i] = historyTier{steps: t.Steps, rows: ring[HistoryRow]{max: t.Rows}}
+		sh.tiers[i] = historyTier{steps: t.Steps, rows: ring[row]{max: t.Rows}}
 	}
 	return sh
 }
@@ -323,8 +488,9 @@ func (h *HistoryStore) newStream() *streamHistory {
 // NewHistoryStore; wire Record into the engine's OnResult path alongside
 // ResultCache.Record.
 type HistoryStore struct {
-	cfg HistoryConfig
-	m   sync.Map // stream id -> *streamHistory
+	cfg   HistoryConfig
+	m     sync.Map // stream id -> *streamHistory
+	names nameTable
 
 	// onAppend, when set, receives every appended raw entry on the shard
 	// worker goroutine — the subscription feed's publish hook. Atomic so
@@ -345,7 +511,9 @@ func NewHistoryStore(cfg HistoryConfig) (*HistoryStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HistoryStore{cfg: cfg}, nil
+	h := &HistoryStore{cfg: cfg}
+	h.names.cur.Store(&names{list: []string{""}})
+	return h, nil
 }
 
 // Config returns the store's (defaulted) configuration.
@@ -366,19 +534,20 @@ func (h *HistoryStore) stream(id string) *streamHistory {
 // pairs with the previous step's forecast, the new forecast (when the step
 // succeeded) becomes pending, and full buckets consolidate into each tier.
 // Safe to call from engine.Config.OnResult; zero allocations once the
-// stream's rings reach their configured length.
+// stream's rings reach their configured length and its experts are named
+// in the table.
 func (h *HistoryStore) Record(r engine.Result) {
 	sh := h.stream(r.ID)
-	sh.mu.Lock()
-	sh.seq++
 	e := rawEntry{TS: r.TS, Actual: r.Value}
 	if r.Err == nil {
-		e.Next, e.NextStd, e.NextExpert, e.HasNext = r.Pred.Value, r.Pred.StdEstimate, r.Pred.SelectedName, true
+		e.Next, e.NextStd, e.NextExpert, e.HasNext = r.Pred.Value, r.Pred.StdEstimate, h.names.intern(r.Pred.SelectedName), true
 	}
 	hook := h.onAppend.Load()
+	sh.mu.Lock()
+	sh.seq++
 	var full HistoryEntry
 	if hook != nil {
-		full = e.expand(sh.seq, &sh.pending)
+		full = e.expand(sh.seq, &sh.pending, h.names.load().list)
 	}
 	sh.append(&e)
 	sh.mu.Unlock()
@@ -397,10 +566,10 @@ func (sh *streamHistory) append(e *rawEntry) {
 	sh.raw.push(e)
 	for i := range sh.tiers {
 		t := &sh.tiers[i]
-		t.bucket.add(sh.seq, e, &sh.pending)
+		t.bucket.add(e, &sh.pending)
 		if t.bucket.Count >= t.steps {
-			row := t.bucket.row()
-			t.rows.push(&row)
+			r := t.bucket.row()
+			t.rows.push(&r)
 			t.bucket.reset()
 		}
 	}
@@ -410,7 +579,7 @@ func (sh *streamHistory) append(e *rawEntry) {
 // entries appends to dst the raw steps from the i-th oldest on that keep
 // accepts (all when keep is nil), expanded, oldest first. Callers hold
 // sh.mu.
-func (sh *streamHistory) entries(dst []HistoryEntry, i int, keep func(*rawEntry) bool) []HistoryEntry {
+func (sh *streamHistory) entries(dst []HistoryEntry, i int, keep func(*rawEntry) bool, names []string) []HistoryEntry {
 	// The forecast targeting step i is the last one issued before it.
 	f := sh.first
 	for j := i - 1; j >= 0; j-- {
@@ -424,7 +593,7 @@ func (sh *streamHistory) entries(dst []HistoryEntry, i int, keep func(*rawEntry)
 		e := sh.raw.at(i)
 		seq++
 		if keep == nil || keep(e) {
-			dst = append(dst, e.expand(seq, &f))
+			dst = append(dst, e.expand(seq, &f, names))
 		}
 		f.carry(e)
 	}
@@ -483,6 +652,7 @@ func (h *HistoryStore) Range(id string, q RangeQuery) (RangeResult, bool) {
 	if sh.seq == 0 {
 		return RangeResult{}, false
 	}
+	names := h.names.load().list
 	res := RangeResult{Resolution: 1}
 	if q.Step <= 1 {
 		start := 0
@@ -494,7 +664,7 @@ func (h *HistoryStore) Range(id string, q RangeQuery) (RangeResult, bool) {
 		} else if q.Limit > 0 && sh.raw.filled > q.Limit {
 			start = sh.raw.filled - q.Limit // unfiltered: expand only the newest
 		}
-		res.Entries = sh.entries(nil, start, keep)
+		res.Entries = sh.entries(nil, start, keep, names)
 		if q.Limit > 0 && len(res.Entries) > q.Limit {
 			res.Entries = res.Entries[len(res.Entries)-q.Limit:]
 		}
@@ -510,20 +680,20 @@ func (h *HistoryStore) Range(id string, q RangeQuery) (RangeResult, bool) {
 	}
 	t := &sh.tiers[ti]
 	res.Resolution = t.steps
+	outside := func(startTS, endTS int64) bool {
+		return (q.HasFrom && endTS < q.From) || (q.HasTo && startTS > q.To)
+	}
 	for i := 0; i < t.rows.filled; i++ {
 		r := t.rows.at(i)
-		if (q.HasFrom && r.EndTS < q.From) || (q.HasTo && r.StartTS > q.To) {
-			continue
+		if !outside(r.StartTS, r.EndTS) {
+			res.Rows = append(res.Rows, r.expand(t.steps, t.closedEnd(i, sh.seq), names))
 		}
-		res.Rows = append(res.Rows, *r)
 	}
 	// The open bucket serves as a final partial row so the range reaches
 	// the present even between consolidation boundaries.
-	if t.bucket.Count > 0 {
+	if t.bucket.Count > 0 && !outside(t.bucket.StartTS, t.bucket.EndTS) {
 		r := t.bucket.row()
-		if !((q.HasFrom && r.EndTS < q.From) || (q.HasTo && r.StartTS > q.To)) {
-			res.Rows = append(res.Rows, r)
-		}
+		res.Rows = append(res.Rows, r.expand(t.bucket.Count, sh.seq, names))
 	}
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[len(res.Rows)-q.Limit:]
@@ -550,7 +720,7 @@ func (h *HistoryStore) EntriesSince(id string, after uint64, dst []HistoryEntry)
 		if n := sh.seq - after; n < uint64(sh.raw.filled) {
 			start = sh.raw.filled - int(n)
 		}
-		dst = sh.entries(dst, start, nil)
+		dst = sh.entries(dst, start, nil, h.names.load().list)
 	}
 	return dst, sh.seq
 }
@@ -564,11 +734,9 @@ type HistoryTierState struct {
 	Bucket HistoryBucketState
 }
 
-// HistoryBucketState is a tier's open bucket: the accumulator of raw steps
-// toward one consolidated row. The live tier holds one, and it persists as
-// is, so a restart resumes mid-bucket instead of losing the partial row.
-// Experts per stream are few (the pool names plus the fallback rungs), so a
-// small linear array of tallies beats a map and allocates nothing.
+// HistoryBucketState is a tier's persisted open bucket: the accumulator of
+// raw steps toward one consolidated row, so a restart resumes mid-bucket
+// instead of losing the partial row.
 type HistoryBucketState struct {
 	Count     int
 	Predicted int
@@ -588,14 +756,6 @@ type HistoryBucketState struct {
 type HistoryExpertCount struct {
 	Name  string
 	Count int
-}
-
-// clone copies b with its own Experts, so a captured or installed state
-// never shares memory with a live bucket. An empty tally clones to nil, as
-// the persisted state has always carried it.
-func (b HistoryBucketState) clone() HistoryBucketState {
-	b.Experts = append([]HistoryExpertCount(nil), b.Experts...)
-	return b
 }
 
 // HistoryState is one stream's complete persisted history: the predictd
@@ -623,15 +783,32 @@ func (h *HistoryStore) State(id string) (HistoryState, bool) {
 	sh := v.(*streamHistory)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := HistoryState{Seq: sh.seq, Pending: sh.pending}
-	st.Raw = sh.entries(make([]HistoryEntry, 0, sh.raw.filled), 0, nil)
+	names := h.names.load().list
+	st := HistoryState{Seq: sh.seq}
+	p := &st.Pending
+	p.Pred, p.Std, p.Expert, p.HasPred = sh.pending.Pred, sh.pending.Std, names[sh.pending.Expert], sh.pending.HasPred
+	st.Raw = sh.entries(make([]HistoryEntry, 0, sh.raw.filled), 0, nil, names)
 	for i := range sh.tiers {
 		t := &sh.tiers[i]
 		ts := HistoryTierState{Steps: t.steps, Rows: make([]HistoryRow, 0, t.rows.filled)}
 		for j := 0; j < t.rows.filled; j++ {
-			ts.Rows = append(ts.Rows, *t.rows.at(j))
+			ts.Rows = append(ts.Rows, t.rows.at(j).expand(t.steps, t.closedEnd(j, sh.seq), names))
 		}
-		ts.Bucket = t.bucket.clone()
+		b := &t.bucket
+		ts.Bucket = HistoryBucketState{
+			Count: b.Count, Predicted: b.Predicted, StartTS: b.StartTS, EndTS: b.EndTS,
+			ActualSum: b.ActualSum, ActualMin: b.ActualMin, ActualMax: b.ActualMax,
+			PredSum: b.PredSum, AbsErrSum: b.AbsErrSum,
+		}
+		if b.Count > 0 {
+			ts.Bucket.StartSeq, ts.Bucket.EndSeq = sh.seq-uint64(b.Count)+1, sh.seq
+		}
+		if len(b.Experts) > 0 {
+			ts.Bucket.Experts = make([]HistoryExpertCount, len(b.Experts))
+			for j, x := range b.Experts {
+				ts.Bucket.Experts[j] = HistoryExpertCount{Name: names[x.Expert], Count: x.Count}
+			}
+		}
 		st.Tiers = append(st.Tiers, ts)
 	}
 	return st, true
@@ -641,41 +818,127 @@ func (h *HistoryStore) State(id string) (HistoryState, bool) {
 // and handoff install path. State captured under a different tier layout
 // degrades gracefully: raw entries clamp to the current ring capacity
 // (newest kept) and only tiers whose Steps match the current config keep
-// their rows; mismatched tiers restart cold.
-func (h *HistoryStore) Restore(id string, st HistoryState) {
+// their rows; mismatched tiers restart cold. So does a tier whose state
+// this store could not have recorded (see historyTier.load). Restore fails,
+// installing nothing, only when the state's names do not fit in the
+// store's name table.
+func (h *HistoryStore) Restore(id string, st HistoryState) error {
+	sh, err := h.load(&st)
+	if err != nil {
+		return err
+	}
+	h.m.Store(id, sh)
+	return nil
+}
+
+// load builds a stream history from persisted state, adding its names to
+// the table.
+func (h *HistoryStore) load(st *HistoryState) (*streamHistory, error) {
+	for {
+		in := interner{base: h.names.load()}
+		sh := h.build(st, &in)
+		if len(in.missing) == 0 {
+			return sh, nil
+		}
+		ok, err := h.names.extend(in.base, in.missing)
+		if err != nil {
+			return nil, fmt.Errorf("server: restore history: %w", err)
+		}
+		if ok {
+			return sh, nil
+		}
+		// Names were added since base: index against the new table.
+	}
+}
+
+// build converts st into a stream history, with names indexed by in.
+func (h *HistoryStore) build(st *HistoryState, in *interner) *streamHistory {
 	sh := h.newStream()
 	sh.seq = st.Seq
-	sh.pending = forecast(st.Pending)
-	// Persisted entries carry their Seq and targeting forecast; the ring
-	// derives both, from st.Seq and from the oldest kept entry's forecast
-	// (the pending one while the ring is empty).
-	sh.first = sh.pending
 	raw := st.Raw
 	if len(raw) > h.cfg.RawRows {
 		raw = raw[len(raw)-h.cfg.RawRows:]
 	}
-	if len(raw) > 0 {
-		e := raw[0]
-		sh.first = forecast{Pred: e.Pred, Std: e.Std, Expert: e.Expert, HasPred: e.HasPred}
-		sh.raw.buf = make([]rawEntry, len(raw))
-		for i, e := range raw {
-			sh.raw.buf[i] = rawEntry{TS: e.TS, Actual: e.Actual,
-				Next: e.Next, NextStd: e.NextStd, NextExpert: e.NextExpert, HasNext: e.HasNext}
+	if uint64(len(raw)) > st.Seq {
+		raw = raw[len(raw)-int(st.Seq):] // steps the stream never took
+	}
+	// Persisted entries carry their Seq and targeting forecast; the ring
+	// derives both, from st.Seq and from the oldest kept entry's forecast.
+	// The pending forecast is then the last one the kept entries issue (or
+	// the one targeting the oldest), as recording them would leave it; only
+	// an empty ring takes st.Pending.
+	if len(raw) == 0 {
+		p := &st.Pending
+		sh.pending = in.forecast(p.Pred, p.Std, p.Expert, p.HasPred)
+		sh.first = sh.pending
+	} else {
+		e := &raw[0]
+		sh.first = in.forecast(e.Pred, e.Std, e.Expert, e.HasPred)
+		sh.pending = sh.first
+		buf := sh.raw.fill(len(raw))
+		for i := range raw {
+			e := &raw[i]
+			buf[i] = rawEntry{TS: e.TS, Actual: e.Actual,
+				Next: e.Next, NextStd: e.NextStd, NextExpert: in.index(e.NextExpert), HasNext: e.HasNext}
+			sh.pending.carry(&buf[i])
 		}
-		sh.raw.filled = len(raw)
 	}
 	for i := range sh.tiers {
 		t := &sh.tiers[i]
-		for _, ts := range st.Tiers {
-			if ts.Steps != t.steps {
-				continue
+		for j := range st.Tiers {
+			if st.Tiers[j].Steps == t.steps {
+				t.load(st.Seq, &st.Tiers[j], in)
+				break
 			}
-			t.rows.load(ts.Rows)
-			t.bucket = ts.Bucket.clone()
-			break
 		}
 	}
-	h.m.Store(id, sh)
+	return sh
+}
+
+// load restores the tier from ts, whose Steps match, when ts is state this
+// tier could have recorded by step seq: an open bucket of fewer than steps
+// steps ending at seq, and rows of exactly steps steps each, running
+// contiguously up to the bucket's first step. Rows clamp to the ring's
+// capacity (newest kept). Otherwise the tier stays cold.
+func (t *historyTier) load(seq uint64, ts *HistoryTierState, in *interner) {
+	b := &ts.Bucket
+	if b.Count < 0 || b.Count >= t.steps || uint64(b.Count) > seq || b.Predicted < 0 || b.Predicted > b.Count {
+		return
+	}
+	if b.Count == 0 && (b.StartSeq != 0 || b.EndSeq != 0) ||
+		b.Count > 0 && (b.EndSeq != seq || b.StartSeq != seq-uint64(b.Count)+1) {
+		return
+	}
+	rows := ts.Rows
+	if len(rows) > t.rows.max {
+		rows = rows[len(rows)-t.rows.max:]
+	}
+	end := seq - uint64(b.Count)
+	for i := len(rows) - 1; i >= 0; i-- {
+		r := &rows[i]
+		if r.Count != t.steps || r.EndSeq != end || r.StartSeq > r.EndSeq || r.EndSeq-r.StartSeq != uint64(t.steps-1) ||
+			r.Predicted < 0 || r.Predicted > r.Count {
+			return
+		}
+		end = r.StartSeq - 1
+	}
+	buf := t.rows.fill(len(rows))
+	for i := range rows {
+		r := &rows[i]
+		buf[i] = row{StartTS: r.StartTS, EndTS: r.EndTS,
+			ActualAvg: r.ActualAvg, ActualMin: r.ActualMin, ActualMax: r.ActualMax,
+			PredAvg: r.PredAvg, AbsErrAvg: r.AbsErrAvg,
+			Predicted: uint32(r.Predicted), Expert: in.index(r.Expert)}
+	}
+	t.bucket = bucket{Count: b.Count, Predicted: b.Predicted, StartTS: b.StartTS, EndTS: b.EndTS,
+		ActualSum: b.ActualSum, ActualMin: b.ActualMin, ActualMax: b.ActualMax,
+		PredSum: b.PredSum, AbsErrSum: b.AbsErrSum}
+	if len(b.Experts) > 0 {
+		t.bucket.Experts = make([]tally, len(b.Experts))
+		for i, x := range b.Experts {
+			t.bucket.Experts[i] = tally{Expert: in.index(x.Name), Count: x.Count}
+		}
+	}
 }
 
 // Each calls f for every stream with history. Iteration order is

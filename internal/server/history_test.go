@@ -393,42 +393,59 @@ func TestHistoryTierBoundarySelection(t *testing.T) {
 	}
 }
 
-// TestHistoryStreamFootprint bounds the heap a stream's history holds after
-// 80 steps, over 1,000 streams, under the benchmark's history config and
-// the defaults. Rings grow on demand, so a young stream must not pay for
-// its full configured capacity (about 100 KB with the defaults).
+// TestHistoryStreamFootprint bounds the heap a stream's history holds, over
+// many streams: after 80 steps under the benchmark's history config and the
+// defaults, and with every ring at its configured length under the
+// defaults. Rings grow on demand, so a young stream must not pay for its
+// full configured capacity; a full default stream is about 40·512 B of raw
+// steps plus 64·720 B of closed rows.
 func TestHistoryStreamFootprint(t *testing.T) {
-	const streams, steps = 1000, 80
-	ids := make([]string, streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("vm%d/cpu", i)
+	bench := HistoryConfig{RawRows: 64, Tiers: []HistoryTier{{Steps: 16, Rows: 32}, {Steps: 256, Rows: 8}}}
+	// fill records steps results into each of streams streams.
+	fill := func(h *HistoryStore, streams, steps int) {
+		for step := 1; step <= steps; step++ {
+			for i := 0; i < streams; i++ {
+				h.Record(histResult(fmt.Sprintf("vm%d/cpu", i), int64(step), float64(step), float64(step)+1, "AR", false))
+			}
+		}
 	}
+	// full is one stream's state with every default ring at its length.
+	fullSrc := newHistory(t, HistoryConfig{})
+	fill(fullSrc, 1, 512+256*360)
+	full, _ := fullSrc.State("vm0/cpu")
 	for _, tc := range []struct {
 		name     string
 		cfg      HistoryConfig
+		streams  int
+		build    func(h *HistoryStore, streams int)
 		maxBytes uint64
 	}{
-		{"bench", HistoryConfig{RawRows: 64, Tiers: []HistoryTier{{Steps: 16, Rows: 32}, {Steps: 256, Rows: 8}}}, 6800},
-		{"defaults", HistoryConfig{}, 11700},
+		{"bench", bench, 1000, func(h *HistoryStore, n int) { fill(h, n, 80) }, 4500},
+		{"defaults", HistoryConfig{}, 1000, func(h *HistoryStore, n int) { fill(h, n, 80) }, 7800},
+		{"defaults-full", HistoryConfig{}, 100, func(h *HistoryStore, n int) {
+			for i := 0; i < n; i++ {
+				if err := h.Restore(fmt.Sprintf("vm%d/cpu", i), full); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fill(h, n, 20) // and keep recording, closing a row
+		}, 84000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			h := newHistory(t, tc.cfg)
-			for step := 1; step <= steps; step++ {
-				for _, id := range ids {
-					h.Record(histResult(id, int64(step), float64(step), float64(step)+1, "AR", false))
-				}
-			}
+			tc.build(h, tc.streams)
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(h)
-			perStream := (after.HeapAlloc - before.HeapAlloc) / streams
+			perStream := (after.HeapAlloc - before.HeapAlloc) / uint64(tc.streams)
 			t.Logf("%d B per stream", perStream)
 			if perStream > tc.maxBytes {
-				t.Errorf("%d heap bytes per stream after %d steps, want <= %d", perStream, steps, tc.maxBytes)
+				t.Errorf("%d heap bytes per stream, want <= %d", perStream, tc.maxBytes)
 			}
 		})
 	}
+	runtime.KeepAlive(full)
 }

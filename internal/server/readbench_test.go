@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/acis-lab/larpredictor/internal/core"
 	"github.com/acis-lab/larpredictor/internal/engine"
 )
 
@@ -121,5 +122,40 @@ func BenchmarkHistoryRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Sample.TS = int64(i + 2)
 		h.Record(r)
+	}
+}
+
+// BenchmarkHistoryRecordStreams records the way the daemon does after
+// predictload's warm-up: 5,000 streams round robin under its history config
+// (-history-raw 64 -history-tiers 16x32,256x8), each past 60 failed
+// warm-up steps, with forecasts by a 12-expert roster. So every Record
+// looks its expert up in the name table and touches a cold stream.
+func BenchmarkHistoryRecordStreams(b *testing.B) {
+	const streams, warmup = 5000, 60
+	h, err := NewHistoryStore(HistoryConfig{RawRows: 64, Tiers: []HistoryTier{{Steps: 16, Rows: 32}, {Steps: 256, Rows: 8}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([]engine.Result, streams)
+	for i := range results {
+		results[i] = engine.Result{Sample: engine.Sample{ID: fmt.Sprintf("vm%04d/cpu", i)}, Err: core.ErrNotReady}
+	}
+	for step := 1; step <= warmup; step++ {
+		for i := range results {
+			results[i].TS, results[i].Value = int64(step), float64(step%17)
+			h.Record(results[i])
+		}
+	}
+	for i := range results {
+		results[i].Err = nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &results[i%streams]
+		r.TS++
+		r.Value = float64(i % 23)
+		r.Pred = core.Prediction{Value: float64(i % 19), StdEstimate: 0.5, SelectedName: historyExperts[i%len(historyExperts)]}
+		h.Record(*r)
 	}
 }

@@ -59,15 +59,24 @@ func CaptureStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
 // restores the predictor (replacing any local one), the cache takes the
 // serving snapshot, and the history store takes the rings only when they
 // are ahead of its own, so a local ring rebuilt by WAL replay is never
-// shortened. On error nothing is installed.
+// shortened. Predictor state that does not load and history the store
+// cannot hold are both reported as engine.ErrBadState. On error nothing is
+// installed.
 func InstallStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
 	id string, st StreamState) error {
+	var sh *streamHistory
+	if st.History.Seq > hist.Seq(id) {
+		var err error
+		if sh, err = hist.load(&st.History); err != nil {
+			return fmt.Errorf("install %q: %w: %w", id, engine.ErrBadState, err)
+		}
+	}
 	if err := eng.Restore(id, bytes.NewReader(st.Online)); err != nil {
 		return err
 	}
 	cache.Restore(id, st.Cache)
-	if st.History.Seq > hist.Seq(id) {
-		hist.Restore(id, st.History)
+	if sh != nil {
+		hist.m.Store(id, sh)
 	}
 	return nil
 }
