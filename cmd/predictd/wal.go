@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"github.com/acis-lab/larpredictor/internal/durable"
@@ -51,6 +52,8 @@ import (
 type walLog interface {
 	Append(payload []byte) error
 	Sync() error
+	Len() int
+	Record(i int, buf []byte) (payload, bufOut []byte, err error)
 	TruncateRecords(keep int) error
 	Close() error
 }
@@ -70,10 +73,9 @@ type walStore struct {
 	appended, durable uint64
 	syncing           bool
 	err               error
-
-	// pending holds the records recovered at open, until replay consumes
-	// them.
-	pending [][]byte
+	// rec is the record being appended, reused across commits under
+	// commitMu.
+	rec []byte
 
 	appends     *obs.Counter
 	dedupHits   *obs.Counter
@@ -83,9 +85,10 @@ type walStore struct {
 
 func walPath(dir string) string { return filepath.Join(dir, "predictd.wal") }
 
-// openWALStore opens (or creates) the state directory's WAL, recovering its
-// intact records for replay. A file that is not a predictd WAL is
-// quarantined and a fresh log started; a torn tail is truncated.
+// openWALStore opens (or creates) the state directory's WAL and checks its
+// records, which stay on disk until replay reads them. A file that is not a
+// predictd WAL is quarantined and a fresh log started; a torn tail is
+// truncated.
 func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, error) {
 	ws := &walStore{dedup: server.NewDedup()}
 	ws.synced = sync.NewCond(&ws.commitMu)
@@ -100,7 +103,7 @@ func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, err
 			"WAL files quarantined or tails truncated during recovery.")
 	}
 	path := walPath(dir)
-	w, recs, truncated, err := durable.OpenBatchWAL(path)
+	w, truncated, err := durable.ScanBatchWAL(path)
 	if errors.Is(err, durable.ErrWALFormat) {
 		ws.quarantines.Inc()
 		moved, qerr := durable.Quarantine(path)
@@ -108,7 +111,7 @@ func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, err
 			return nil, fmt.Errorf("quarantine foreign WAL: %w", qerr)
 		}
 		fmt.Fprintf(logw, "predictd: quarantined %s -> %s: %v\n", path, moved, err)
-		w, recs, truncated, err = durable.OpenBatchWAL(path)
+		w, truncated, err = durable.ScanBatchWAL(path)
 	}
 	if err != nil {
 		return nil, err
@@ -118,7 +121,6 @@ func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, err
 		fmt.Fprintf(logw, "predictd: truncated %d bytes of torn WAL tail from %s\n", truncated, path)
 	}
 	ws.wal = w
-	ws.pending = recs
 	return ws, nil
 }
 
@@ -154,7 +156,8 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 			aerr = fmt.Errorf("%w: batch of %d samples exceeds %d bytes",
 				durable.ErrRecordTooLarge, len(fresh), durable.MaxBatchRecord)
 		} else {
-			aerr = ws.wal.Append(encodeWALBatch(fresh))
+			ws.rec = appendWALBatch(ws.rec[:0], fresh)
+			aerr = ws.wal.Append(ws.rec)
 		}
 		if aerr != nil {
 			// The batch did not commit: withdraw the marks so its keys stay
@@ -229,24 +232,37 @@ func (ws *walStore) awaitDurable(n uint64) error {
 	return nil
 }
 
-// replay feeds the records recovered at open through the normal engine
-// ingest path, marking idempotency keys as it goes, and drains the engine
-// so restored forecasts are served before the listener opens. A record
-// whose payload no longer decodes ends the replay: the WAL is truncated
-// back to the last good record, mirroring torn-tail recovery.
+// replay feeds the log's records through the normal engine ingest path,
+// reading and applying one at a time through reused buffers and marking
+// idempotency keys as it goes, and drains the engine so restored forecasts
+// are served before the listener opens. A record that no longer verifies
+// or decodes ends the replay: the WAL is truncated back to the last good
+// record, mirroring torn-tail recovery.
 func (ws *walStore) replay(eng *engine.Engine, logw io.Writer) (records, samples int, err error) {
-	for i, rec := range ws.pending {
-		batch, derr := decodeWALBatch(rec)
-		if derr != nil {
+	var (
+		buf     []byte
+		batch   []server.KeyedSample
+		enqueue []engine.Sample
+	)
+	for i, n := 0, ws.wal.Len(); i < n; i++ {
+		var rec []byte
+		rec, buf, err = ws.wal.Record(i, buf)
+		if err == nil {
+			batch, err = decodeWALBatch(rec, batch)
+		}
+		if err != nil {
+			if !errors.Is(err, errWALDecode) && !errors.Is(err, durable.ErrRecord) {
+				return records, samples, err
+			}
 			ws.quarantines.Inc()
 			fmt.Fprintf(logw, "predictd: WAL record %d undecodable (%v); truncating %d trailing records\n",
-				i, derr, len(ws.pending)-i)
+				i, err, n-i)
 			if terr := ws.wal.TruncateRecords(i); terr != nil {
 				return records, samples, terr
 			}
 			break
 		}
-		enqueue := make([]engine.Sample, 0, len(batch))
+		enqueue = enqueue[:0]
 		for _, ks := range batch {
 			if ks.Source != "" && ks.Seq != 0 && !ws.dedup.Apply(ks.ID, ks.Source, ks.Seq) {
 				continue // already covered by the snapshot or an earlier record
@@ -262,7 +278,6 @@ func (ws *walStore) replay(eng *engine.Engine, logw io.Writer) (records, samples
 		records++
 		ws.replayed.Inc()
 	}
-	ws.pending = nil
 	eng.Drain()
 	return records, samples, nil
 }
@@ -328,25 +343,28 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // zigzag maps v as binary.AppendVarint does before its uvarint encoding.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-func encodeWALBatch(batch []server.KeyedSample) []byte {
-	buf := make([]byte, 0, walBatchSize(batch))
-	buf = append(buf, walBatchVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
+// appendWALBatch appends batch's record payload to dst.
+func appendWALBatch(dst []byte, batch []server.KeyedSample) []byte {
+	dst = slices.Grow(dst, walBatchSize(batch))
+	dst = append(dst, walBatchVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	for _, ks := range batch {
-		buf = binary.AppendUvarint(buf, uint64(len(ks.ID)))
-		buf = append(buf, ks.ID...)
-		buf = binary.AppendVarint(buf, ks.TS)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ks.Value))
-		buf = binary.AppendUvarint(buf, uint64(len(ks.Source)))
-		buf = append(buf, ks.Source...)
-		buf = binary.AppendUvarint(buf, ks.Seq)
+		dst = binary.AppendUvarint(dst, uint64(len(ks.ID)))
+		dst = append(dst, ks.ID...)
+		dst = binary.AppendVarint(dst, ks.TS)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ks.Value))
+		dst = binary.AppendUvarint(dst, uint64(len(ks.Source)))
+		dst = append(dst, ks.Source...)
+		dst = binary.AppendUvarint(dst, ks.Seq)
 	}
-	return buf
+	return dst
 }
 
 var errWALDecode = errors.New("predictd: malformed WAL batch record")
 
-func decodeWALBatch(payload []byte) ([]server.KeyedSample, error) {
+// decodeWALBatch decodes a record payload into batch, reusing its backing
+// array.
+func decodeWALBatch(payload []byte, batch []server.KeyedSample) ([]server.KeyedSample, error) {
 	if len(payload) == 0 || payload[0] != walBatchVersion {
 		return nil, errWALDecode
 	}
@@ -370,7 +388,7 @@ func decodeWALBatch(payload []byte) ([]server.KeyedSample, error) {
 		p = p[n+int(l):]
 		return s, true
 	}
-	batch := make([]server.KeyedSample, 0, count)
+	batch = slices.Grow(batch[:0], int(count))
 	for i := uint64(0); i < count; i++ {
 		var ks server.KeyedSample
 		var ok bool

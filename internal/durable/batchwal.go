@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // BatchWAL file format: an 8-byte magic header followed by variable-length
@@ -45,18 +48,48 @@ type BatchWAL struct {
 	scratch []byte
 }
 
-// OpenBatchWAL opens (or creates) a batch write-ahead log and returns its
-// intact record payloads in append order, as sub-slices of the one buffer
-// the log was read into, so the log is held in memory once while the
-// caller keeps any of them. A torn or corrupt tail is truncated
-// away — the returned records are exactly what recovery may trust — and the
-// log is positioned for appending. truncated reports how many bytes of bad
-// tail were discarded. A file that does not start with the batch-WAL magic
-// fails with ErrWALFormat; callers quarantine it and start fresh.
+// OpenBatchWAL opens the log as ScanBatchWAL does and returns its intact
+// record payloads in append order, as sub-slices of the one buffer the log
+// was read into, so the log is held in memory once while the caller keeps
+// any of them.
 func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err error) {
+	if w, truncated, err = ScanBatchWAL(path); err != nil {
+		return nil, nil, 0, err
+	}
+	if len(w.ends) == 0 {
+		return w, nil, truncated, nil
+	}
+	base := int64(len(batchWALMagic))
+	data := make([]byte, w.ends[len(w.ends)-1]-base)
+	if _, err = w.f.ReadAt(data, base); err != nil {
+		w.f.Close()
+		return nil, nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
+	}
+	recs = make([][]byte, len(w.ends))
+	start := 0
+	for i, end := range w.ends {
+		// Between the length header and the checksum, with clipped
+		// capacity: an append to one record cannot overwrite the next.
+		hi := int(end-base) - 4
+		recs[i] = data[start+4 : hi : hi]
+		start = hi + 4
+	}
+	return w, recs, truncated, nil
+}
+
+// ScanBatchWAL opens (or creates) a batch write-ahead log and checks it
+// without keeping its payloads: it reads the log once through a small
+// buffer, verifying each record's checksum and noting where it ends, so
+// Record can read the records back one at a time. A torn or corrupt tail is
+// truncated away — the records left are exactly what recovery may trust —
+// and the log is positioned for appending. truncated reports how many bytes
+// of bad tail were discarded. A file that does not start with the
+// batch-WAL magic fails with ErrWALFormat; callers quarantine it and start
+// fresh.
+func ScanBatchWAL(path string) (w *BatchWAL, truncated int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("durable: open batch WAL: %w", err)
+		return nil, 0, fmt.Errorf("durable: open batch WAL: %w", err)
 	}
 	defer func() {
 		if err != nil {
@@ -65,54 +98,87 @@ func OpenBatchWAL(path string) (w *BatchWAL, recs [][]byte, truncated int64, err
 	}()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("durable: stat batch WAL: %w", err)
+		return nil, 0, fmt.Errorf("durable: stat batch WAL: %w", err)
 	}
 	if info.Size() == 0 {
 		if _, err = f.Write(batchWALMagic[:]); err != nil {
-			return nil, nil, 0, fmt.Errorf("durable: write batch WAL header: %w", err)
+			return nil, 0, fmt.Errorf("durable: write batch WAL header: %w", err)
 		}
 		if err = f.Sync(); err != nil {
-			return nil, nil, 0, fmt.Errorf("durable: sync batch WAL header: %w", err)
+			return nil, 0, fmt.Errorf("durable: sync batch WAL header: %w", err)
 		}
-		return &BatchWAL{f: f}, nil, 0, nil
+		return &BatchWAL{f: f}, 0, nil
 	}
 
 	var magic [8]byte
 	if _, rerr := io.ReadFull(f, magic[:]); rerr != nil || magic != batchWALMagic {
 		err = fmt.Errorf("durable: %s: %w", path, ErrWALFormat)
-		return nil, nil, 0, err
-	}
-	data := make([]byte, info.Size()-int64(len(batchWALMagic)))
-	if _, err = io.ReadFull(f, data); err != nil {
-		return nil, nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
+		return nil, 0, err
 	}
 	w = &BatchWAL{f: f}
-	good := 0
-	for {
-		payload, rest, ok := SplitRecord(data[good:], MaxBatchRecord)
-		if !ok {
+	// The file's size is known, so a record that would run past it is the
+	// torn tail, and any read error is a real one.
+	size, good := info.Size(), int64(len(batchWALMagic))
+	r := bufio.NewReaderSize(f, 64<<10)
+	var buf []byte
+	for size-good >= RecordOverhead {
+		buf = append(buf[:0], 0, 0, 0, 0)
+		if _, err = io.ReadFull(r, buf); err != nil {
+			return nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
+		}
+		n := int64(binary.LittleEndian.Uint32(buf))
+		if n > MaxBatchRecord || good+RecordOverhead+n > size {
 			break
 		}
-		// Clipped capacity: an append to one record cannot overwrite the
-		// next.
-		recs = append(recs, payload[:len(payload):len(payload)])
-		good = len(data) - len(rest)
-		w.ends = append(w.ends, int64(len(batchWALMagic))+int64(good))
+		buf = slices.Grow(buf, int(n)+4)[:RecordOverhead+n]
+		if _, err = io.ReadFull(r, buf[4:]); err != nil {
+			return nil, 0, fmt.Errorf("durable: read batch WAL: %w", err)
+		}
+		if _, _, ok := SplitRecord(buf, MaxBatchRecord); !ok {
+			break
+		}
+		good += RecordOverhead + n
+		w.ends = append(w.ends, good)
 	}
-	if bad := int64(len(data) - good); bad > 0 {
-		truncated = bad
-		end := int64(len(batchWALMagic)) + int64(good)
-		if err = f.Truncate(end); err != nil {
-			return nil, nil, 0, fmt.Errorf("durable: truncate torn batch WAL tail: %w", err)
+	if truncated = size - good; truncated > 0 {
+		if err = f.Truncate(good); err != nil {
+			return nil, 0, fmt.Errorf("durable: truncate torn batch WAL tail: %w", err)
 		}
 		if err = f.Sync(); err != nil {
-			return nil, nil, 0, fmt.Errorf("durable: sync truncated batch WAL: %w", err)
+			return nil, 0, fmt.Errorf("durable: sync truncated batch WAL: %w", err)
 		}
 	}
 	if _, err = f.Seek(0, io.SeekEnd); err != nil {
-		return nil, nil, 0, fmt.Errorf("durable: seek batch WAL end: %w", err)
+		return nil, 0, fmt.Errorf("durable: seek batch WAL end: %w", err)
 	}
-	return w, recs, truncated, nil
+	return w, truncated, nil
+}
+
+// Len returns how many records the log holds.
+func (w *BatchWAL) Len() int { return len(w.ends) }
+
+// Record reads record i's payload from the file into buf, growing it as
+// needed, and checks its checksum again. payload aliases bufOut and is
+// valid until the next call with the same buffer. A record that no longer
+// verifies fails with an error wrapping ErrRecord.
+func (w *BatchWAL) Record(i int, buf []byte) (payload, bufOut []byte, err error) {
+	if i < 0 || i >= len(w.ends) {
+		return nil, buf, fmt.Errorf("durable: record %d of %d", i, len(w.ends))
+	}
+	start := int64(len(batchWALMagic))
+	if i > 0 {
+		start = w.ends[i-1]
+	}
+	n := int(w.ends[i] - start)
+	buf = slices.Grow(buf[:0], n)[:n]
+	if _, err := w.f.ReadAt(buf, start); err != nil {
+		return nil, buf, fmt.Errorf("durable: read batch WAL record %d: %w", i, err)
+	}
+	payload, _, ok := SplitRecord(buf, MaxBatchRecord)
+	if !ok {
+		return nil, buf, fmt.Errorf("%w: batch WAL record %d no longer verifies", ErrRecord, i)
+	}
+	return payload, buf, nil
 }
 
 // Append writes one record. The record is durable only after the next Sync.

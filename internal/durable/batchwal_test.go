@@ -217,3 +217,50 @@ func TestBatchWALHugeLengthTreatedAsCorrupt(t *testing.T) {
 		t.Fatalf("huge length: %d records (want 1), truncated %d", len(recs), truncated)
 	}
 }
+
+// TestScanBatchWALReadsRecords: ScanBatchWAL keeps no payloads; Record reads
+// each one back from the file, and a record damaged after the scan fails
+// with ErrRecord instead of returning bytes the scan did not verify.
+func TestScanBatchWALReadsRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "batch.wal")
+	w, _, _ := openBatch(t, path)
+	payloads := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte("x"), 100<<10), []byte("four")}
+	for _, p := range payloads {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	s, truncated, err := ScanBatchWAL(path)
+	if err != nil || truncated != 0 {
+		t.Fatalf("ScanBatchWAL: truncated %d, %v", truncated, err)
+	}
+	defer s.Close()
+	if s.Len() != len(payloads) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(payloads))
+	}
+	var buf []byte
+	for i, p := range payloads {
+		var got []byte
+		if got, buf, err = s.Record(i, buf); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("Record(%d) = %.20q, %v; want %.20q", i, got, err, p)
+		}
+	}
+	if _, _, err := s.Record(len(payloads), buf); err == nil {
+		t.Error("Record past the end succeeded")
+	}
+
+	// Flip a byte of the last payload behind the scan's back.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-6] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Record(len(payloads)-1, buf); !errors.Is(err, ErrRecord) {
+		t.Errorf("Record of a damaged record: %v, want ErrRecord", err)
+	}
+}

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,9 @@ import (
 
 // FuzzOpenWAL feeds arbitrary bytes as an on-disk batch WAL and checks that
 // OpenBatchWAL never panics, never returns records it cannot vouch for, and
-// always leaves a usable log behind.
+// always leaves a usable log behind. ScanBatchWAL over the same bytes must
+// keep, and read back through Record, exactly the prefix of records a
+// whole-buffer SplitRecord walk verifies, and truncate the rest.
 func FuzzOpenWAL(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(batchWALMagic[:])
@@ -39,6 +42,7 @@ func FuzzOpenWAL(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		checkScan(t, data)
 		w, recs, _, err := OpenBatchWAL(path)
 		if err != nil {
 			return // rejected outright (bad magic): fine
@@ -72,4 +76,45 @@ func FuzzOpenWAL(f *testing.F) {
 			t.Fatalf("appended record came back as %q", last)
 		}
 	})
+}
+
+// checkScan opens a copy of data with ScanBatchWAL and compares what it
+// keeps with a SplitRecord walk over the whole buffer.
+func checkScan(t *testing.T, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scan.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, truncated, err := ScanBatchWAL(path)
+	if len(data) > 0 && !bytes.HasPrefix(data, batchWALMagic[:]) {
+		if !errors.Is(err, ErrWALFormat) {
+			t.Fatalf("ScanBatchWAL of a foreign file: %v, want ErrWALFormat", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("ScanBatchWAL: %v", err)
+	}
+	defer w.Close()
+	var want [][]byte
+	rest := data[min(len(data), len(batchWALMagic)):]
+	for {
+		payload, next, ok := SplitRecord(rest, MaxBatchRecord)
+		if !ok {
+			break
+		}
+		want, rest = append(want, payload), next
+	}
+	if w.Len() != len(want) || truncated != int64(len(rest)) {
+		t.Fatalf("ScanBatchWAL kept %d records and truncated %d bytes, want %d and %d",
+			w.Len(), truncated, len(want), len(rest))
+	}
+	var buf []byte
+	for i, rec := range want {
+		var got []byte
+		if got, buf, err = w.Record(i, buf); err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("Record(%d) = %q, %v; want %q", i, got, err, rec)
+		}
+	}
 }

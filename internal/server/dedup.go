@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// dedupWindow is how many sequence numbers behind a source's highest applied
-// seq the table still distinguishes "applied" from "never seen". Anything at
-// or below the floor (max - window) is treated as applied: retries arrive
-// promptly, so by the time a seq falls out of the window its batch has long
-// been resolved one way or the other.
+// dedupWindow bounds a source that leaves a permanent hole. Once a window
+// holds more than 2*dedupWindow explicit seqs, its floor jumps to
+// max - dedupWindow: everything at or below it is then treated as applied.
+// Retries arrive promptly, so by the time a seq falls that far behind its
+// batch has long been resolved one way or the other.
 const dedupWindow = 4096
 
 // Dedup is the server-side idempotency table: for every stream it tracks,
@@ -31,9 +31,10 @@ type Dedup struct {
 
 // seqWindow is one (stream, source) pair's applied-seq set: everything at or
 // below floor is applied; seqs above floor are applied iff present in seqs.
-// seqs is ascending and duplicate-free — 8 bytes a key, where a map spends
-// about 21 — and clients number their samples in order, so Apply's common
-// case is an append.
+// The floor is the contiguous applied prefix — floor+1 is never in seqs —
+// so a source that numbers its samples in order holds no explicit seqs at
+// all, and seqs holds only what arrived above the first hole: ascending and
+// duplicate-free, 8 bytes a key.
 type seqWindow struct {
 	floor uint64
 	max   uint64
@@ -67,72 +68,109 @@ func (d *Dedup) Apply(stream, source string, seq uint64) bool {
 	if seq <= w.floor {
 		return false
 	}
-	if n := len(w.seqs); n == 0 || seq > w.seqs[n-1] {
-		w.seqs = append(w.seqs, seq)
+	w.max = max(w.max, seq)
+	if seq == w.floor+1 {
+		w.floor = seq
+		w.collapse()
 	} else {
-		i, dup := slices.BinarySearch(w.seqs, seq)
-		if dup {
-			return false
+		if n := len(w.seqs); n == 0 || seq > w.seqs[n-1] {
+			w.seqs = append(w.seqs, seq)
+		} else {
+			i, dup := slices.BinarySearch(w.seqs, seq)
+			if dup {
+				return false
+			}
+			w.seqs = slices.Insert(w.seqs, i, seq)
 		}
-		w.seqs = slices.Insert(w.seqs, i, seq)
+		w.compact()
 	}
-	if seq > w.max {
-		w.max = seq
-	}
-	w.compact()
 	d.applied[stream]++
 	return true
 }
 
 // Revert withdraws a mark made by Apply — the failure path when the durable
 // log rejected the batch after the mark, so a client retry must be admitted.
+// A seq the floor has absorbed splits it: the floor drops to seq-1 and the
+// seqs above seq become explicit again, so a batch can be withdrawn in
+// either order. A seq 2*dedupWindow or more below the floor stays applied,
+// as the window's compaction would treat it.
 func (d *Dedup) Revert(stream, source string, seq uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sources := d.streams[stream]
-	if sources == nil {
+	w := d.streams[stream][source]
+	if w == nil || seq == 0 {
 		return
 	}
-	w := sources[source]
-	if w == nil || seq <= w.floor {
+	switch {
+	case seq > w.floor:
+		i, ok := slices.BinarySearch(w.seqs, seq)
+		if !ok {
+			return
+		}
+		if i == 0 {
+			// An oldest-first withdrawal of a split run pops the front
+			// without a copy.
+			w.seqs = w.seqs[1:]
+		} else {
+			w.seqs = slices.Delete(w.seqs, i, i+1)
+		}
+	case w.floor-seq >= 2*dedupWindow:
 		return
+	default:
+		above := make([]uint64, 0, int(w.floor-seq)+len(w.seqs))
+		for s := seq + 1; s <= w.floor; s++ {
+			above = append(above, s)
+		}
+		w.seqs = append(above, w.seqs...)
+		w.floor = seq - 1
 	}
-	i, ok := slices.BinarySearch(w.seqs, seq)
-	if !ok {
-		return
+	if len(w.seqs) == 0 {
+		w.seqs = nil
 	}
-	w.seqs = slices.Delete(w.seqs, i, i+1)
 	d.applied[stream]--
 }
 
-// compact advances the floor so the live set stays bounded. Called with the
-// table lock held.
+// collapse moves the explicit seqs that continue the floor into it.
+func (w *seqWindow) collapse() {
+	k := 0
+	for k < len(w.seqs) && w.seqs[k] == w.floor+uint64(k)+1 {
+		k++
+	}
+	w.floor += uint64(k)
+	if w.seqs = w.seqs[k:]; len(w.seqs) == 0 {
+		w.seqs = nil // release what a filled hole held
+	}
+}
+
+// compact bounds a window held open by a hole: past 2*dedupWindow explicit
+// seqs the floor jumps to max - dedupWindow, and whatever then continues
+// it collapses into it. Called with the table lock held.
 func (w *seqWindow) compact() {
 	if w.max <= dedupWindow || len(w.seqs) <= 2*dedupWindow {
 		return
 	}
-	newFloor := w.max - dedupWindow
-	i, _ := slices.BinarySearch(w.seqs, newFloor+1)
+	w.floor = w.max - dedupWindow
+	i, _ := slices.BinarySearch(w.seqs, w.floor+1)
 	w.seqs = slices.Delete(w.seqs, 0, i)
-	if newFloor > w.floor {
-		w.floor = newFloor
-	}
+	w.collapse()
+}
+
+// install sets the window's explicit seqs from imported ones: sorted in
+// place, deduplicated, those at or below the floor dropped, and the run
+// that continues the floor collapsed into it — the form every imported
+// window is brought to (see SourceWindow).
+func (w *seqWindow) install(seqs []uint64) {
+	slices.Sort(seqs)
+	seqs = slices.Compact(seqs)
+	i, _ := slices.BinarySearch(seqs, w.floor+1)
+	w.seqs = slices.Delete(seqs, 0, i)
+	w.collapse()
 }
 
 // exported returns the window in exported form, its Seqs a fresh ascending
 // slice.
 func (w *seqWindow) exported() SourceWindow {
 	return SourceWindow{Floor: w.floor, Max: w.max, Seqs: append(make([]uint64, 0, len(w.seqs)), w.seqs...)}
-}
-
-// normalizeSeqs sorts seqs in place, drops duplicates and every seq at or
-// below floor, and returns the result: the form every imported window is
-// brought to (see SourceWindow).
-func normalizeSeqs(seqs []uint64, floor uint64) []uint64 {
-	slices.Sort(seqs)
-	seqs = slices.Compact(seqs)
-	i, _ := slices.BinarySearch(seqs, floor+1)
-	return slices.Delete(seqs, 0, i)
 }
 
 // Applied returns the stream's cumulative count of applied keyed samples.
@@ -203,13 +241,13 @@ func (d *Dedup) StreamState(stream string) (windows map[string]SourceWindow, app
 }
 
 // MergeStream unions a peer's windows for one stream into the table: per
-// source, the floor becomes the max of the two floors and the explicit seq
-// sets union (dropping seqs the new floor covers). The stream's applied
-// count is then recomputed as Σ(floor + live seqs) per source — exact
-// while no window has compacted (floors are zero and every applied seq is
-// explicit, which holds until a single source exceeds the dedup window),
-// and the same everything-at-or-below-the-floor-was-applied approximation
-// Apply itself uses afterwards.
+// source, the floor becomes the max of the two floors, the explicit seq
+// sets union (dropping seqs the new floor covers), and the run that then
+// continues the floor collapses into it. The stream's applied count is
+// recomputed as Σ(floor + explicit seqs) per source: exact while no window
+// has compacted over a hole, since a floor is otherwise a contiguous
+// applied prefix, and the same everything-at-or-below-the-floor-was-applied
+// approximation Apply itself uses afterwards.
 //
 // This is the warm-handoff install path: a rejoining node merges the
 // coverage of every peer that held its streams, then replays its own WAL
@@ -229,13 +267,9 @@ func (d *Dedup) MergeStream(stream string, windows map[string]SourceWindow) {
 			w = &seqWindow{}
 			sources[source] = w
 		}
-		if sw.Floor > w.floor {
-			w.floor = sw.Floor
-		}
-		if sw.Max > w.max {
-			w.max = sw.Max
-		}
-		w.seqs = normalizeSeqs(append(w.seqs, sw.Seqs...), w.floor)
+		w.floor = max(w.floor, sw.Floor)
+		w.max = max(w.max, sw.Max)
+		w.install(append(w.seqs, sw.Seqs...))
 	}
 	var applied uint64
 	for _, w := range sources {
@@ -253,8 +287,9 @@ func (d *Dedup) Restore(st DedupState) {
 	for stream, sources := range st.Streams {
 		in := map[string]*seqWindow{}
 		for source, sw := range sources {
-			in[source] = &seqWindow{floor: sw.Floor, max: sw.Max,
-				seqs: normalizeSeqs(slices.Clone(sw.Seqs), sw.Floor)}
+			w := &seqWindow{floor: sw.Floor, max: sw.Max}
+			w.install(slices.Clone(sw.Seqs))
+			in[source] = w
 		}
 		d.streams[stream] = in
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -320,5 +321,60 @@ func TestDedupMergeAfterCompaction(t *testing.T) {
 	}
 	if !local.Apply("s", "src", top+1) {
 		t.Error("fresh seq rejected after floor merge")
+	}
+}
+
+// TestDedupRevertSplitsFloor: a batch applied in order collapses into the
+// floor, and withdrawing it — oldest first, as predictd's failed-append path
+// does, or newest first — re-admits exactly its seqs.
+func TestDedupRevertSplitsFloor(t *testing.T) {
+	for _, newestFirst := range []bool{false, true} {
+		d := NewDedup()
+		for seq := uint64(1); seq <= 10; seq++ {
+			d.Apply("s", "src", seq)
+		}
+		batch := []uint64{4, 5, 6, 7}
+		if newestFirst {
+			slices.Reverse(batch)
+		}
+		for _, seq := range batch {
+			d.Revert("s", "src", seq)
+		}
+		if n, _ := d.Applied("s"); n != 6 {
+			t.Errorf("newestFirst=%v: applied after revert = %d, want 6", newestFirst, n)
+		}
+		for seq := uint64(1); seq <= 10; seq++ {
+			if got, want := d.Apply("s", "src", seq), seq >= 4 && seq <= 7; got != want {
+				t.Errorf("newestFirst=%v: Apply(%d) after revert = %v, want %v", newestFirst, seq, got, want)
+			}
+		}
+		if w := d.streams["s"]["src"]; w.floor != 10 || len(w.seqs) != 0 {
+			t.Errorf("newestFirst=%v: window floor %d with %d explicit seqs, want 10 and none", newestFirst, w.floor, len(w.seqs))
+		}
+	}
+}
+
+// TestDedupPermanentHole: a source that never sends seq 1 keeps explicit
+// seqs only until compaction bounds them; compaction then treats the hole as
+// applied and the contiguous run above it collapses into the floor.
+func TestDedupPermanentHole(t *testing.T) {
+	d := NewDedup()
+	top := uint64(3 * dedupWindow)
+	for seq := uint64(2); seq <= top; seq++ {
+		if !d.Apply("s", "src", seq) {
+			t.Fatalf("seq %d rejected on first apply", seq)
+		}
+		if w := d.streams["s"]["src"]; len(w.seqs) > 2*dedupWindow {
+			t.Fatalf("seq %d: %d explicit seqs, want at most %d", seq, len(w.seqs), 2*dedupWindow)
+		}
+	}
+	if w := d.streams["s"]["src"]; w.floor != top || len(w.seqs) != 0 {
+		t.Errorf("window floor %d with %d explicit seqs, want %d and none", w.floor, len(w.seqs), top)
+	}
+	if d.Apply("s", "src", 1) {
+		t.Error("hole under the compacted floor admitted")
+	}
+	if n, _ := d.Applied("s"); n != top-1 {
+		t.Errorf("applied = %d, want %d", n, top-1)
 	}
 }
