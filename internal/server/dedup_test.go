@@ -75,7 +75,7 @@ func TestDedupStateRoundTrip(t *testing.T) {
 
 func TestDedupWindowFloor(t *testing.T) {
 	d := NewDedup()
-	// Push far past the window so compaction must advance the floor.
+	// Push far past the window; the in-order run advances the floor.
 	top := uint64(3 * dedupWindow)
 	for seq := uint64(1); seq <= top; seq++ {
 		if !d.Apply("s", "src", seq) {
@@ -307,7 +307,7 @@ func TestDedupMergeAfterCompaction(t *testing.T) {
 	}
 	win, _, _ := peer.StreamState("s")
 	if win["src"].Floor == 0 {
-		t.Fatal("peer window never compacted")
+		t.Fatal("peer window floor never advanced")
 	}
 
 	local := NewDedup()
