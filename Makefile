@@ -26,7 +26,7 @@ fmt:
 # Run the fuzz targets' seed corpora as ordinary tests (no fuzzing engine;
 # deterministic and fast, so it belongs in ci).
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/rrd ./internal/preddb ./internal/durable ./internal/wire ./internal/tournament ./internal/core ./internal/timeseries ./internal/server ./cmd/predictd
+	$(GO) test -run Fuzz ./internal/rrd ./internal/preddb ./internal/durable ./internal/wire ./internal/tournament ./internal/core ./internal/timeseries ./internal/server ./cmd/predictd ./cmd/monitord
 
 # Short real fuzzing of the binary ingest protocol: corrupt frames,
 # truncation, and version skew must never panic or mis-ack. Go's fuzzer

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
-	"github.com/acis-lab/larpredictor/internal/faults"
+	"github.com/acis-lab/larpredictor/internal/monitor"
 	"github.com/acis-lab/larpredictor/internal/preddb"
 	"github.com/acis-lab/larpredictor/internal/vmtrace"
 )
@@ -28,16 +31,37 @@ func durableOptions(dir string) options {
 	return o
 }
 
-func loadStatePreddb(t *testing.T, dir string) *preddb.DB {
+// readRecords passes each record of the snapshot data to fn, whatever its
+// header.
+func readRecords(t *testing.T, data []byte, fn func(*snapRecord) error) {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, "preddb.db"))
+	hdr, sr, err := openSnapshot(bytes.NewReader(data))
+	if err == nil {
+		err = sr.ReadRecords(hdr.Records, fn)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	db, err := preddb.Load(f)
+}
+
+// loadStatePreddb loads the prediction DB record of dir's snapshot.
+func loadStatePreddb(t *testing.T, dir string) *preddb.DB {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, snapName))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var db *preddb.DB
+	readRecords(t, data, func(rec *snapRecord) error {
+		if rec.Name != preddbRecord {
+			return nil
+		}
+		var err error
+		db, err = preddb.Load(bytes.NewReader(rec.Frame))
+		return err
+	})
+	if db == nil {
+		t.Fatalf("%s holds no prediction DB record", dir)
 	}
 	return db
 }
@@ -50,20 +74,8 @@ func loadStatePreddb(t *testing.T, dir string) *preddb.DB {
 // with and without faults (chaosSpec touches VM3 only), and every case must
 // reproduce the uncrashed prediction database record for record.
 func TestCrashRecoveryResumesExactly(t *testing.T) {
-	specs := []struct {
-		name, faults string
-	}{
-		{"no-faults", ""},
-		{"chaos", chaosSpec},
-	}
-	for _, spec := range specs {
-		opts := func(dir string) options {
-			o := durableOptions(dir)
-			o.vms = []vmtrace.VMID{vmtrace.VM2, vmtrace.VM3}
-			o.faultSpec = spec.faults
-			o.faultSeed = 99
-			return o
-		}
+	for _, spec := range crashSpecs {
+		opts := func(dir string) options { return crashOptions(dir, spec.faults) }
 		// Reference: the same options, never crashed, fresh state dir.
 		cleanDir := t.TempDir()
 		clean, err := run(io.Discard, opts(cleanDir))
@@ -102,6 +114,163 @@ func TestCrashRecoveryResumesExactly(t *testing.T) {
 				}
 				assertSameRun(t, resumed, clean, crashDir, cleanDir)
 			})
+		}
+	}
+}
+
+// crashSpecs are the fault specs the crash tests run under; chaosSpec
+// touches VM3 only.
+var crashSpecs = []struct{ name, faults string }{
+	{"no-faults", ""},
+	{"chaos", chaosSpec},
+}
+
+// crashOptions is the crash tests' run: VM2 and VM3 under faultSpec.
+func crashOptions(dir, faultSpec string) options {
+	o := durableOptions(dir)
+	o.vms = []vmtrace.VMID{vmtrace.VM2, vmtrace.VM3}
+	o.faultSpec = faultSpec
+	o.faultSeed = 99
+	return o
+}
+
+// TestCrashTornSnapshotResumesExactly tears a snapshot at every write
+// boundary. It takes the state directory as the 4 h snapshot left it and
+// as the 8 h snapshot left it, and lays the files the 8 h snapshot wrote
+// (in the order they were written: by modification time, then name, since
+// a coarse file-system clock can tie them) over the 4 h state one at a
+// time. Before each file it also tries the crash inside that file's atomic
+// write, which leaves a temp file cut in half beside it. Whatever prefix a
+// crash left behind, the resumed run must match an uncrashed one, sample
+// count included.
+func TestCrashTornSnapshotResumesExactly(t *testing.T) {
+	for _, spec := range crashSpecs {
+		opts := func(dir string) options { return crashOptions(dir, spec.faults) }
+		cleanDir := t.TempDir()
+		clean, err := run(io.Discard, opts(cleanDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateAt := func(hour int) string {
+			dir := t.TempDir()
+			o := opts(dir)
+			o.crashAfterHours = hour
+			if _, err := run(io.Discard, o); !errors.Is(err, errSimulatedCrash) {
+				t.Fatalf("crash run returned %v, want errSimulatedCrash", err)
+			}
+			return dir
+		}
+		before, after := stateAt(4), stateAt(8)
+		written := writtenFiles(t, before, after)
+		if len(written) == 0 {
+			t.Fatal("the 8 h snapshot wrote no file the 4 h state lacks")
+		}
+		for k := 0; k <= len(written); k++ {
+			for _, torn := range []bool{true, false} {
+				if torn && k == len(written) {
+					continue
+				}
+				name := fmt.Sprintf("%s/files-%d-of-%d", spec.name, k, len(written))
+				if torn {
+					name += "/torn-temp"
+				}
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					copyFiles(t, before, dir, nil)
+					copyFiles(t, after, dir, written[:k])
+					if torn {
+						rel := written[k]
+						data, err := os.ReadFile(filepath.Join(after, rel))
+						if err != nil {
+							t.Fatal(err)
+						}
+						tmp := filepath.Join(dir, filepath.Dir(rel), "."+filepath.Base(rel)+".tmp-torn")
+						if err := os.WriteFile(tmp, data[:len(data)/2], 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					resumed, err := run(io.Discard, opts(dir))
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameRun(t, resumed, clean, dir, cleanDir)
+				})
+			}
+		}
+	}
+}
+
+// writtenFiles lists the regular files under after whose content differs
+// from the same path under before, in the order they were written: by
+// modification time, then by name.
+func writtenFiles(t *testing.T, before, after string) []string {
+	t.Helper()
+	type file struct {
+		rel string
+		mod time.Time
+	}
+	var files []file
+	err := filepath.WalkDir(after, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		rel, err := filepath.Rel(after, path)
+		if err != nil {
+			return err
+		}
+		now, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if was, err := os.ReadFile(filepath.Join(before, rel)); err == nil && bytes.Equal(was, now) {
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		files = append(files, file{rel, info.ModTime()})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
+	rels := make([]string, len(files))
+	for i, f := range files {
+		rels[i] = f.rel
+	}
+	return rels
+}
+
+// copyFiles copies the files rels (every regular file, when rels is nil)
+// from the tree src to the same paths under dst.
+func copyFiles(t *testing.T, src, dst string, rels []string) {
+	t.Helper()
+	if rels == nil {
+		err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.Type().IsRegular() {
+				return err
+			}
+			rel, err := filepath.Rel(src, path)
+			rels = append(rels, rel)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rel := range rels {
+		data, err := os.ReadFile(filepath.Join(src, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -158,9 +327,10 @@ func assertSameRun(t *testing.T, resumed, clean *runSummary, crashDir, cleanDir 
 	}
 }
 
-// TestCorruptSnapshotQuarantined flips a bit in one pipeline's snapshot and
-// checks that only that pipeline cold-starts: the file is renamed aside,
-// the other pipelines recover, and the daemon keeps running.
+// TestCorruptSnapshotQuarantined flips a bit in the payload of one
+// pipeline's record and checks that only that pipeline cold-starts: the
+// other pipelines recover, the daemon keeps running, and the damaged bytes
+// are kept aside as <file>.corrupt.
 func TestCorruptSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	o := durableOptions(dir)
@@ -169,12 +339,26 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps, err := filepath.Glob(filepath.Join(dir, "pipe", "*.lar"))
-	if err != nil || len(snaps) < 2 {
-		t.Fatalf("pipe snapshots: %v (err %v)", snaps, err)
+	path := filepath.Join(dir, snapName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	victim := snaps[0]
-	if err := faults.FlipBit(victim, -10, 3); err != nil {
+	var victim string
+	var frame []byte
+	readRecords(t, data, func(rec *snapRecord) error {
+		if victim == "" && rec.Name != preddbRecord && !strings.HasPrefix(rec.Name, rrdPrefix) {
+			victim, frame = rec.Name, bytes.Clone(rec.Frame)
+		}
+		return nil
+	})
+	at := bytes.Index(data, frame)
+	if victim == "" || at < 0 {
+		t.Fatalf("no pipeline record found in %s", path)
+	}
+	damaged := bytes.Clone(data)
+	damaged[at+len(frame)/2] ^= 1 << 3
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,21 +368,25 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(victim + ".corrupt"); err != nil {
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt snapshot not quarantined: %v", err)
+	} else if !bytes.Equal(kept, damaged) {
+		t.Error("the quarantined file does not hold the damaged bytes")
 	}
-	wantKey := filepath.Base(victim)
 	quarantined, recovered := 0, 0
 	for _, p := range sum.Pipes {
 		switch p.Recovery {
 		case recoveryQuarantined:
 			quarantined++
+			if p.Key != victim {
+				t.Errorf("%s quarantined, want only the victim %s", p.Key, victim)
+			}
 		case recoveryRecovered:
 			recovered++
 		}
 	}
 	if quarantined != 1 {
-		t.Errorf("%d pipelines quarantined, want exactly 1 (victim %s)", quarantined, wantKey)
+		t.Errorf("%d pipelines quarantined, want exactly 1 (victim %s)", quarantined, victim)
 	}
 	if recovered != len(sum.Pipes)-1 {
 		t.Errorf("%d of %d pipelines recovered", recovered, len(sum.Pipes)-1)
@@ -244,4 +432,66 @@ func TestCompletedRunExtendsFromState(t *testing.T) {
 			t.Errorf("%s: recovery %q on extension", p.Key, p.Recovery)
 		}
 	}
+}
+
+// TestSnapshotOldLayoutIgnored: a state directory that holds only the
+// earlier per-file layout cold-starts with one log line naming what it
+// ignores, and the run matches a clean one. The manifest carries the right
+// fingerprint and a 4 h clock, so a restart that read it would diverge.
+func TestSnapshotOldLayoutIgnored(t *testing.T) {
+	opts := func(dir string) options { return crashOptions(dir, "") }
+	cleanDir := t.TempDir()
+	clean, err := run(io.Discard, opts(cleanDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	o := opts(dir)
+	start := monitor.DefaultConfig().Start
+	manifest := fmt.Sprintf(`{"clock":%d,"samples":%d,"fingerprint":%q}`,
+		start.Add(4*time.Hour).Unix(), 4*60*2*len(vmtrace.Metrics()), fingerprintOptions(o))
+	old := map[string]string{
+		"manifest.json":             manifest,
+		"preddb.db":                 "prediction DB of the earlier layout",
+		"rrd/VM2.rrd":               "RRD of the earlier layout",
+		"pipe/VM2__CPU_usedsec.lar": "pipeline of the earlier layout",
+	}
+	for rel, content := range old {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := openState(dir, fingerprintOptions(o), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, db, pipes := newWorld(t, o)
+	var log strings.Builder
+	if _, err := st.recover(agent, db, pipes, o, &log); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("monitord: %s: ignoring manifest.json, rrd, pipe, preddb.db, state of an earlier layout that is never read\n", dir)
+	if log.String() != want {
+		t.Errorf("recover logged %q, want %q", log.String(), want)
+	}
+	if !agent.Now().Equal(start) || agent.Samples() != 0 {
+		t.Errorf("recover moved the clock to %v (%d samples); the earlier layout must not be read", agent.Now(), agent.Samples())
+	}
+
+	resumed, err := run(io.Discard, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range resumed.Pipes {
+		if p.Recovery != recoveryCold {
+			t.Errorf("%s: recovery %q, want %q", p.Key, p.Recovery, recoveryCold)
+		}
+	}
+	assertSameRun(t, resumed, clean, dir, cleanDir)
 }

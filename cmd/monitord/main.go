@@ -235,6 +235,27 @@ func newOnline(o options, reg *obs.Registry, key preddb.Key) (*core.Online, erro
 	)
 }
 
+// newPipelines builds one cold pipeline per (vm, metric), VM by VM.
+func newPipelines(o options, reg *obs.Registry, start time.Time) ([]*pipeline, error) {
+	var pipes []*pipeline
+	for _, vm := range o.vms {
+		for _, m := range vmtrace.Metrics() {
+			key := preddb.Key{VM: string(vm), Device: deviceOf(m), Metric: string(m)}
+			online, err := newOnline(o, reg, key)
+			if err != nil {
+				return nil, err
+			}
+			pipes = append(pipes, &pipeline{
+				vm: vm, metric: m, online: online,
+				key:      key,
+				id:       key.String(),
+				lastSeen: start,
+			})
+		}
+	}
+	return pipes, nil
+}
+
 func run(out io.Writer, o options) (*runSummary, error) {
 	if o.duration < 0 {
 		return nil, fmt.Errorf("negative duration %v", o.duration)
@@ -294,21 +315,9 @@ func run(out io.Writer, o options) (*runSummary, error) {
 		}
 	}
 
-	var pipes []*pipeline
-	for _, vm := range o.vms {
-		for _, m := range vmtrace.Metrics() {
-			key := preddb.Key{VM: string(vm), Device: deviceOf(m), Metric: string(m)}
-			online, err := newOnline(o, reg, key)
-			if err != nil {
-				return nil, err
-			}
-			pipes = append(pipes, &pipeline{
-				vm: vm, metric: m, online: online,
-				key:      key,
-				id:       key.String(),
-				lastSeen: cfg.Start,
-			})
-		}
+	pipes, err := newPipelines(o, reg, cfg.Start)
+	if err != nil {
+		return nil, err
 	}
 	byKey := make(map[string]*pipeline, len(pipes))
 	for _, p := range pipes {

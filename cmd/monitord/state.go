@@ -1,15 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/acis-lab/larpredictor/internal/core"
@@ -17,25 +18,34 @@ import (
 	"github.com/acis-lab/larpredictor/internal/monitor"
 	"github.com/acis-lab/larpredictor/internal/obs"
 	"github.com/acis-lab/larpredictor/internal/preddb"
+	"github.com/acis-lab/larpredictor/internal/vmtrace"
 )
 
-// State directory layout:
-//
-//	<dir>/manifest.json        clock, sample counter, config fingerprint
-//	<dir>/rrd/<vm>.rrd         per-VM round-robin database snapshot
-//	<dir>/preddb.db            prediction database snapshot
-//	<dir>/pipe/<vm>__<metric>.lar   per-pipeline predictor + bookkeeping
-//
-// Every snapshot file is written atomically (temp + fsync + rename) and
-// carries its own checksum; the manifest is written last so its clock only
-// ever describes fully-committed state. Nothing between snapshots is
-// logged: recovery resumes the deterministic simulation at the manifest
-// clock, which regenerates every row the crashed process saw after it.
+// Durable state is one file, <dir>/monitord.snap, written through
+// durable.WriteFileAtomic, so the clock, RRDs, prediction DB and pipelines
+// a restart reads always describe the same moment. It is the magic
+// "LARMOND1" and a record stream (durable): a snapHeader, then one
+// snapRecord per VM's RRD, one for the prediction DB and one per pipeline,
+// each holding its codec's checksummed frame. A record whose frame fails
+// is skipped, so a damaged pipeline record cold-starts that pipeline alone
+// (it warms up from the RRD's retained rows); the file is quarantined once
+// the restore has read it. Nothing between snapshots is logged: recovery
+// re-simulates from the header's clock, which regenerates every row the
+// crashed process saw after it. Files of earlier layouts are never read.
 
 const (
-	pipeMagic    = "LARPIPE1"
-	manifestName = "manifest.json"
+	snapName  = "monitord.snap"
+	snapMagic = "LARMOND1"
+
+	// Record names: an RRD's is rrdPrefix and its VM, a pipeline's its id.
+	rrdPrefix    = "rrd "
+	preddbRecord = "preddb"
 )
+
+// pipeFrame frames a pipeline's record: its bookkeeping and its predictor
+// state.
+var pipeFrame = durable.GobFrame{Magic: "LARPIPE2", Version: 1,
+	ErrFormat: durable.ErrFrame, ErrChecksum: durable.ErrFrame}
 
 // Per-pipeline recovery outcomes reported on the status endpoint.
 const (
@@ -49,11 +59,18 @@ const (
 // cleanup — exactly what a SIGKILL would leave behind.
 var errSimulatedCrash = errors.New("monitord: simulated crash")
 
-// manifest is the commit record of a snapshot.
-type manifest struct {
-	Clock       int64  `json:"clock"`
-	Samples     int64  `json:"samples"`
-	Fingerprint string `json:"fingerprint"`
+// snapHeader opens the snapshot's record stream.
+type snapHeader struct {
+	Clock       int64
+	Samples     int64
+	Fingerprint string
+	Records     int // how many snapRecords follow
+}
+
+// snapRecord is one database's or pipeline's entry in the snapshot.
+type snapRecord struct {
+	Name  string
+	Frame []byte
 }
 
 // pipeState is the serialized bookkeeping of one pipeline; Online holds the
@@ -90,18 +107,16 @@ func fingerprintOptions(o options) string {
 		o.seed, vms, o.window, o.trainSize, o.auditWin, o.threshold, o.faultSpec, o.faultSeed)
 }
 
-// openState creates the state directory tree if needed and binds the
+// openState creates the state directory if needed and binds the
 // durability counters on reg (nil leaves the store uninstrumented).
 func openState(dir, fingerprint string, reg *obs.Registry) (*stateStore, error) {
-	for _, sub := range []string{"", "rrd", "pipe"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("state dir: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("state dir: %w", err)
 	}
 	st := &stateStore{dir: dir, fingerprint: fingerprint}
 	if reg != nil {
 		st.snapshots = reg.Counter1("larpredictor_snapshots_total",
-			"Completed durable snapshots (all RRDs, prediction DB, pipelines, manifest).")
+			"Completed durable snapshots (one file: every RRD, the prediction DB and every pipeline).")
 		st.quarantines = reg.Counter1("larpredictor_state_quarantines_total",
 			"Damaged state files quarantined during warm restart.")
 		st.pipesRecovered = reg.Counter1("larpredictor_pipelines_recovered_total",
@@ -110,183 +125,182 @@ func openState(dir, fingerprint string, reg *obs.Registry) (*stateStore, error) 
 	return st, nil
 }
 
-func (st *stateStore) manifestPath() string { return filepath.Join(st.dir, manifestName) }
-func (st *stateStore) preddbPath() string   { return filepath.Join(st.dir, "preddb.db") }
+func (st *stateStore) path() string { return filepath.Join(st.dir, snapName) }
 
-func (st *stateStore) rrdPath(vm string) string {
-	return filepath.Join(st.dir, "rrd", vm+".rrd")
-}
-
-func pipeFile(p *pipeline) string {
-	return fmt.Sprintf("%s__%s", p.vm, p.metric)
-}
-
-func (st *stateStore) pipePath(p *pipeline) string {
-	return filepath.Join(st.dir, "pipe", pipeFile(p)+".lar")
-}
-
-// snapshot persists the whole daemon: every VM's RRD, the prediction DB,
-// every pipeline's predictor state, then the manifest. Called from the
-// supervisor loop only, after all slice goroutines joined.
+// snapshot persists the whole daemon as one file: the header, every VM's
+// RRD, the prediction DB, then every pipeline. Called from the supervisor
+// loop only, after all slice goroutines joined.
 func (st *stateStore) snapshot(agent *monitor.Agent, db *preddb.DB, pipes []*pipeline, o options) error {
-	for _, vm := range o.vms {
-		vm := vm
-		err := durable.WriteFileAtomic(st.rrdPath(string(vm)), func(w io.Writer) error {
-			return agent.SaveVM(vm, w)
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot rrd %s: %w", vm, err)
+	hdr := snapHeader{Clock: agent.Now().Unix(), Samples: agent.Samples(),
+		Fingerprint: st.fingerprint, Records: len(o.vms) + 1 + len(pipes)}
+	err := durable.WriteFileAtomic(st.path(), func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 64<<10)
+		if _, err := bw.WriteString(snapMagic); err != nil {
+			return err
 		}
-	}
-	if err := durable.WriteFileAtomic(st.preddbPath(), db.Save); err != nil {
-		return fmt.Errorf("snapshot preddb: %w", err)
-	}
-	for _, p := range pipes {
-		var online bytes.Buffer
-		if err := p.online.SaveState(&online); err != nil {
-			return fmt.Errorf("snapshot %s predictor: %w", pipeFile(p), err)
+		enc := gob.NewEncoder(bw)
+		if err := enc.Encode(&hdr); err != nil {
+			return err
 		}
-		ps := pipeState{
-			LastSeen:    p.lastSeen.Unix(),
-			PendingFor:  p.pendingFor.Unix(),
-			Predictions: p.predictions,
-			Online:      online.Bytes(),
+		var frame bytes.Buffer
+		put := func(name string, save func(io.Writer) error) error {
+			frame.Reset()
+			if err := save(&frame); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			return enc.Encode(&snapRecord{Name: name, Frame: frame.Bytes()})
 		}
-		err := durable.WriteFileAtomic(st.pipePath(p), func(w io.Writer) error {
-			fw, err := durable.NewFrameWriter(w, pipeMagic)
-			if err != nil {
+		for _, vm := range o.vms {
+			if err := put(rrdPrefix+string(vm), func(w io.Writer) error { return agent.SaveVM(vm, w) }); err != nil {
 				return err
 			}
-			if err := gob.NewEncoder(fw).Encode(&ps); err != nil {
+		}
+		if err := put(preddbRecord, db.Save); err != nil {
+			return err
+		}
+		for _, p := range pipes {
+			if err := put(p.id, p.save); err != nil {
 				return err
 			}
-			return fw.Close()
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot %s: %w", pipeFile(p), err)
 		}
-	}
-	m := manifest{Clock: agent.Now().Unix(), Samples: agent.Samples(), Fingerprint: st.fingerprint}
-	buf, err := json.Marshal(&m)
-	if err != nil {
-		return err
-	}
-	err = durable.WriteFileAtomic(st.manifestPath(), func(w io.Writer) error {
-		_, werr := w.Write(buf)
-		return werr
+		return bw.Flush()
 	})
 	if err != nil {
-		return fmt.Errorf("snapshot manifest: %w", err)
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	st.snapshots.Inc()
 	return nil
 }
 
-// recover performs the warm restart: it verifies the manifest, restores
-// RRDs and the prediction DB (quarantining anything damaged), restores each
-// pipeline's predictor state or cold-starts it, and sets the agent's clock
-// to the manifest's so the caller re-simulates everything after the
-// snapshot through the very same path live rows take. A cold pipeline warms
-// up from the RRD's retained rows, exactly like a fresh one. It returns the
-// prediction DB the run should continue with. logw receives one line per
-// abnormal event.
+// save writes the pipeline's record frame.
+func (p *pipeline) save(w io.Writer) error {
+	var online bytes.Buffer
+	if err := p.online.SaveState(&online); err != nil {
+		return err
+	}
+	return pipeFrame.Encode(w, &pipeState{LastSeen: p.lastSeen.Unix(),
+		PendingFor: p.pendingFor.Unix(), Predictions: p.predictions, Online: online.Bytes()})
+}
+
+// restore loads a record frame written by save.
+func (p *pipeline) restore(r io.Reader) error {
+	var ps pipeState
+	if err := pipeFrame.Decode(r, &ps); err != nil {
+		return err
+	}
+	if err := p.online.RestoreState(bytes.NewReader(ps.Online)); err != nil {
+		return err
+	}
+	p.lastSeen = time.Unix(ps.LastSeen, 0).UTC()
+	p.pendingFor = time.Unix(ps.PendingFor, 0).UTC()
+	p.predictions = ps.Predictions
+	return nil
+}
+
+// openSnapshot checks the magic on r and decodes the header, returning the
+// reader of the records that follow it.
+func openSnapshot(r io.Reader) (snapHeader, *durable.StreamReader[snapRecord], error) {
+	var hdr snapHeader
+	magic := make([]byte, len(snapMagic))
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapMagic {
+		return hdr, nil, fmt.Errorf("%w: missing or wrong magic", durable.ErrFrame)
+	}
+	sr, err := durable.NewStreamReader[snapRecord](r, &hdr)
+	return hdr, sr, err
+}
+
+// recover performs the warm restart from the snapshot file: it refuses a
+// header from another configuration, sets the agent's clock and sample
+// counter from the header, and restores every record whose frame checks
+// out. The caller then re-simulates everything after the snapshot through
+// the very same path live rows take. It returns the prediction DB the run
+// should continue with; logw receives one line per abnormal event.
 func (st *stateStore) recover(agent *monitor.Agent, db *preddb.DB, pipes []*pipeline, o options, logw io.Writer) (*preddb.DB, error) {
+	byID := make(map[string]*pipeline, len(pipes))
 	for _, p := range pipes {
 		p.recovery = recoveryCold
+		byID[p.id] = p
+	}
+	var old []string
+	for _, name := range []string{"manifest.json", "rrd", "pipe", "preddb.db"} {
+		if _, err := os.Lstat(filepath.Join(st.dir, name)); err == nil {
+			old = append(old, name)
+		}
+	}
+	if len(old) > 0 {
+		fmt.Fprintf(logw, "monitord: %s: ignoring %s, state of an earlier layout that is never read\n",
+			st.dir, strings.Join(old, ", "))
 	}
 
-	var m *manifest
-	if buf, err := os.ReadFile(st.manifestPath()); err == nil {
-		m = &manifest{}
-		if jerr := json.Unmarshal(buf, m); jerr != nil {
-			st.quarantineAndLog(st.manifestPath(), jerr, logw)
-			m = nil
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("read manifest: %w", err)
-	}
-	if m != nil && m.Fingerprint != st.fingerprint {
-		return nil, fmt.Errorf("state dir %s was written by a different configuration:\n  have %s\n  want %s",
-			st.dir, m.Fingerprint, st.fingerprint)
-	}
-
-	for _, vm := range o.vms {
-		path := st.rrdPath(string(vm))
-		f, err := os.Open(path)
-		if os.IsNotExist(err) {
-			continue
-		} else if err != nil {
-			return nil, err
-		}
-		rerr := agent.RestoreVM(vm, f)
-		f.Close()
-		if rerr != nil {
-			st.quarantineAndLog(path, rerr, logw)
-		}
-	}
-
-	if f, err := os.Open(st.preddbPath()); err == nil {
-		loaded, lerr := preddb.Load(f)
-		f.Close()
-		if lerr != nil {
-			st.quarantineAndLog(st.preddbPath(), lerr, logw)
-		} else {
-			db = loaded
-		}
-	} else if !os.IsNotExist(err) {
+	path := st.path()
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return db, nil // cold: nothing checkpointed yet
+	} else if err != nil {
 		return nil, err
 	}
-
-	if m != nil {
-		agent.RestoreClock(time.Unix(m.Clock, 0).UTC(), m.Samples)
+	hdr, sr, err := openSnapshot(bufio.NewReaderSize(f, 64<<10))
+	if err == nil && hdr.Fingerprint != st.fingerprint {
+		f.Close()
+		return nil, fmt.Errorf("state dir %s was written by a different configuration:\n  have %s\n  want %s",
+			st.dir, hdr.Fingerprint, st.fingerprint)
 	}
-
-	for _, p := range pipes {
-		path := st.pipePath(p)
-		var ps pipeState
-		fr, err := durable.OpenFrame(path, pipeMagic)
-		if err == nil {
-			// Unreadable or checksum-failing files fail OpenFrame with
-			// durable.ErrFrame; a verified payload can still not decode.
-			err = gob.NewDecoder(fr).Decode(&ps)
-			fr.Close()
+	apply := func(rec *snapRecord) error {
+		if !durable.CheckFrame(rec.Frame) {
+			return fmt.Errorf("%w: checksum mismatch", durable.ErrFrame)
 		}
-		switch {
-		case os.IsNotExist(err):
-			// cold: nothing checkpointed yet.
-		case err != nil:
-			st.quarantineAndLog(path, err, logw)
-			p.recovery = recoveryQuarantined
-		default:
-			if rerr := p.online.RestoreState(bytes.NewReader(ps.Online)); rerr != nil {
-				if errors.Is(rerr, core.ErrStateMismatch) {
-					// Valid file from another configuration of this pipeline:
-					// not damage, just unusable. Cold start and overwrite it
-					// at the next snapshot.
-					fmt.Fprintf(logw, "monitord: %s: predictor state mismatch, cold starting: %v\n", pipeFile(p), rerr)
-					break
-				}
-				st.quarantineAndLog(path, rerr, logw)
-				p.recovery = recoveryQuarantined
-				break
+		r := bytes.NewReader(rec.Frame)
+		vm, isRRD := strings.CutPrefix(rec.Name, rrdPrefix)
+		switch p := byID[rec.Name]; {
+		case p != nil:
+			err := p.restore(r)
+			if errors.Is(err, core.ErrStateMismatch) {
+				// A sound record from another configuration of this
+				// pipeline: not damage, just unusable. Cold start; the
+				// next snapshot overwrites it.
+				fmt.Fprintf(logw, "monitord: %s: predictor state mismatch, cold starting: %v\n", p.id, err)
+				return nil
+			} else if err == nil {
+				p.recovery = recoveryRecovered
+				st.pipesRecovered.Inc()
 			}
-			p.lastSeen = time.Unix(ps.LastSeen, 0).UTC()
-			p.pendingFor = time.Unix(ps.PendingFor, 0).UTC()
-			p.predictions = ps.Predictions
-			p.recovery = recoveryRecovered
-			st.pipesRecovered.Inc()
+			return err
+		case isRRD:
+			return agent.RestoreVM(vmtrace.VMID(vm), r)
+		case rec.Name == preddbRecord:
+			loaded, err := preddb.Load(r)
+			if err == nil {
+				db = loaded
+			}
+			return err
+		}
+		return errors.New("unknown record")
+	}
+	damaged := false
+	if err == nil {
+		agent.RestoreClock(time.Unix(hdr.Clock, 0).UTC(), hdr.Samples)
+		err = sr.ReadRecords(hdr.Records, func(rec *snapRecord) error {
+			if err := apply(rec); err != nil {
+				damaged = true
+				if p := byID[rec.Name]; p != nil {
+					p.recovery = recoveryQuarantined
+				}
+				fmt.Fprintf(logw, "monitord: %s: record %q: %v\n", path, rec.Name, err)
+			}
+			return nil
+		})
+	}
+	f.Close()
+	if err != nil {
+		fmt.Fprintf(logw, "monitord: %s: %v\n", path, err)
+	}
+	if err != nil || damaged {
+		st.quarantines.Inc()
+		if moved, err := durable.Quarantine(path); err != nil {
+			fmt.Fprintf(logw, "monitord: quarantine %s failed: %v\n", path, err)
+		} else {
+			fmt.Fprintf(logw, "monitord: quarantined %s -> %s\n", path, moved)
 		}
 	}
 	return db, nil
-}
-
-// quarantineAndLog moves a damaged state file aside and counts it.
-func (st *stateStore) quarantineAndLog(path string, cause error, logw io.Writer) {
-	st.quarantines.Inc()
-	moved, err := durable.Quarantine(path)
-	if err != nil {
-		fmt.Fprintf(logw, "monitord: quarantine %s failed: %v (cause: %v)\n", path, err, cause)
-		return
-	}
-	fmt.Fprintf(logw, "monitord: quarantined %s -> %s: %v\n", path, moved, cause)
 }

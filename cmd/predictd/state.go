@@ -17,7 +17,7 @@ import (
 // Durable state is one file, <dir>/predictd.snap, written via
 // durable.WriteFileAtomic so a crash mid-snapshot leaves the previous
 // complete snapshot in place. It is one durable frame (magic "LARPRED2",
-// payload, CRC32-IEEE footer) whose payload is a server record stream: a
+// payload, CRC32-IEEE footer) whose payload is a record stream (durable): a
 // snapHeader, then exactly header.Streams snapRecords, then nothing. Save
 // captures, encodes and writes one stream at a time, and restore verifies
 // the whole frame's checksum first and then decodes and applies one record
@@ -139,7 +139,7 @@ func (st *snapStore) save(eng *engine.Engine, cache *server.ResultCache,
 // restore performs the warm restart: it verifies the snapshot (quarantining
 // a damaged one and cold-starting) and installs each stream's state
 // (server.InstallStream) as soon as its record decodes
-// (server.RecordReader), so the first forecast and history reads need no
+// (durable.StreamReader), so the first forecast and history reads need no
 // new samples. It returns how many streams were restored. A record whose
 // state does not load (engine.ErrBadState: predictor bytes that do not
 // restore, or history naming more experts than the store holds) cold-starts
@@ -165,7 +165,7 @@ func (st *snapStore) restore(eng *engine.Engine, cache *server.ResultCache,
 	// wrong, not damaged on disk. Cold-starting would be unsafe once the
 	// dedup table is restored, so startup fails and the file stays put.
 	var hdr snapHeader
-	rr, err := server.NewRecordReader(bufio.NewReaderSize(fr, 64<<10), &hdr)
+	rr, err := durable.NewStreamReader[snapRecord](bufio.NewReaderSize(fr, 64<<10), &hdr)
 	if err != nil {
 		return 0, fmt.Errorf("snapshot %s: %w", path, err)
 	}

@@ -161,9 +161,11 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 		}
 		if aerr != nil {
 			// The batch did not commit: withdraw the marks so its keys stay
-			// unapplied.
-			for _, ks := range fresh {
-				if ks.Source != "" && ks.Seq != 0 {
+			// unapplied. Newest first: each withdrawal of an in-order run
+			// then lowers the window's floor by one, where oldest first
+			// would split the floor and leave seqs far below it applied.
+			for i := len(fresh) - 1; i >= 0; i-- {
+				if ks := fresh[i]; ks.Source != "" && ks.Seq != 0 {
 					ws.dedup.Revert(ks.ID, ks.Source, ks.Seq)
 				}
 			}

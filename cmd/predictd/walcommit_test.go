@@ -194,6 +194,28 @@ func TestWALFailedAppendPoisonsStore(t *testing.T) {
 	}
 }
 
+// TestWALRefusedBatchRevertsEveryMark: a refused batch of 10,000 in-order
+// seqs of one (stream, source) — more than the dedup window's compaction
+// reach below its floor — withdraws every mark, so the retry admits all of
+// them.
+func TestWALRefusedBatchRevertsEveryMark(t *testing.T) {
+	ws, hl, eng := newHookedStore(t)
+	var appends atomic.Int32
+	hl.appendHook = func() error {
+		if appends.Add(1) == 1 {
+			return fmt.Errorf("refused: %w", durable.ErrRecordTooLarge)
+		}
+		return nil
+	}
+	const n = 10000
+	if _, _, err := ws.ingest(eng, keyedBatch("src", 1, n)); !errors.Is(err, durable.ErrRecordTooLarge) {
+		t.Fatalf("refused commit: err = %v, want ErrRecordTooLarge", err)
+	}
+	if a, d, err := ws.ingest(eng, keyedBatch("src", 1, n)); err != nil || a != n || d != 0 {
+		t.Fatalf("retry: accepted %d, deduped %d, err %v; want all %d accepted", a, d, err, n)
+	}
+}
+
 // TestWALConcurrentCommitsShareFsyncs: committers that arrive while an fsync
 // runs share the next one, so concurrent load needs fewer fsyncs than
 // commits, and every commit is acked.

@@ -19,7 +19,6 @@ import (
 // tests in another package need, with the test that needs each. Support used
 // only by its own package's tests belongs in that package's _test.go files.
 var testOnlyAPI = map[string]string{
-	"internal/faults.FlipBit":             "cmd/monitord TestCorruptSnapshotQuarantined",
 	"internal/faults.InjectValues":        "internal/nws TestNaNBurstDoesNotPoisonSelection, internal/core TestOnlineHealthTransitionMetrics",
 	"internal/chaosproxy.Start":           "cmd/predictd TestClusterSoak, TestChaosSoak, TestPredictdHistorySurvivesKill9",
 	"internal/chaosproxy.Proxy.SetTarget": "cmd/predictd TestClusterSoak, TestChaosSoak, TestPredictdHistorySurvivesKill9",

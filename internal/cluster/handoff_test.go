@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/acis-lab/larpredictor/internal/core"
+	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/obs"
 	"github.com/acis-lab/larpredictor/internal/server"
@@ -191,7 +192,7 @@ func handoffBody(t testing.TB, src *testNode) (body []byte, hdrEnd int, ends []i
 	// position after each value is where that value ends.
 	r := bytes.NewReader(body)
 	var streams int
-	rr, err := server.NewRecordReader(r, &streams)
+	rr, err := durable.NewStreamReader[server.StreamRecord](r, &streams)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/acis-lab/larpredictor/client"
+	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
 	"github.com/acis-lab/larpredictor/internal/obs"
 	"github.com/acis-lab/larpredictor/internal/server"
@@ -572,7 +573,7 @@ func (n *Node) PullHandoff(ctx context.Context) (restored int) {
 }
 
 // pullHandoff requests the handoff of the peer at addr and passes each
-// record to take as it decodes (server.RecordReader).
+// record to take as it decodes (durable.StreamReader).
 func (n *Node) pullHandoff(ctx context.Context, addr string, take func(*server.StreamRecord) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+addr+"/v1/cluster/handoff?node="+url.QueryEscape(n.cfg.Self), nil)
@@ -589,7 +590,7 @@ func (n *Node) pullHandoff(ctx context.Context, addr string, take func(*server.S
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
 	}
 	var streams int
-	rr, err := server.NewRecordReader(resp.Body, &streams)
+	rr, err := durable.NewStreamReader[server.StreamRecord](resp.Body, &streams)
 	if err != nil {
 		return err
 	}

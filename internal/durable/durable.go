@@ -1,7 +1,8 @@
 // Package durable provides the crash-safety primitives the daemons' state
 // directories are built from: atomic snapshot files (write-to-temp, fsync,
 // rename), checksummed frames, the versioned gob frame every state codec
-// shares, and a write-ahead log of opaque batch records with per-record
+// shares, the record stream both daemons' snapshots are written as, and a
+// write-ahead log of opaque batch records with per-record
 // checksums and torn-tail recovery.
 //
 // The package owns the framing, not the contents: the core, rrd and preddb

@@ -115,6 +115,14 @@ func OpenFrame(path, magic string) (fr *Frame, err error) {
 	return &Frame{SectionReader: payload, f: f}, nil
 }
 
+// CheckFrame reports whether b is one whole frame by its footer: b is at
+// least a footer long, and the footer matches the CRC32 of everything
+// before it. The magic is left to the frame's codec.
+func CheckFrame(b []byte) bool {
+	n := len(b) - frameFooter
+	return n >= 0 && crc32.ChecksumIEEE(b[:n]) == binary.LittleEndian.Uint32(b[n:])
+}
+
 // GobFrame is a versioned gob codec for one state value: a checksummed
 // frame whose payload is Version as a little-endian uint32 followed by the
 // value's gob encoding. The core, rrd and preddb packages each declare one,

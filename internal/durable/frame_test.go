@@ -49,7 +49,8 @@ func TestFrameLayout(t *testing.T) {
 
 // TestOpenFrame: a verified frame yields exactly its payload; any damage, a
 // wrong magic, or a missing file is refused before a payload byte is handed
-// out.
+// out. CheckFrame passes the same frames in memory and fails the same
+// damage.
 func TestOpenFrame(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
@@ -64,6 +65,9 @@ func TestOpenFrame(t *testing.T) {
 	}
 	for _, payload := range [][]byte{nil, []byte("old format"), bytes.Repeat([]byte{7}, 200<<10)} {
 		good := writeFrame(t, "LARTEST1", payload, 4096)
+		if !CheckFrame(good) {
+			t.Fatalf("CheckFrame fails a whole %d-byte frame", len(good))
+		}
 		write(good)
 		fr, err := OpenFrame(path, "LARTEST1")
 		if err != nil {
@@ -84,6 +88,9 @@ func TestOpenFrame(t *testing.T) {
 			write(damaged)
 			if _, err := OpenFrame(path, "LARTEST1"); !errors.Is(err, ErrFrame) {
 				t.Fatalf("bit flip at %d of %d: err = %v, want ErrFrame", off, len(good), err)
+			}
+			if CheckFrame(damaged) || CheckFrame(good[:off]) {
+				t.Fatalf("CheckFrame passes a frame flipped or cut at %d of %d", off, len(good))
 			}
 			write(good[:off])
 			if _, err := OpenFrame(path, "LARTEST1"); !errors.Is(err, ErrFrame) {

@@ -173,9 +173,8 @@ func (a *Agent) SaveVM(vm vmtrace.VMID, w io.Writer) error {
 // RestoreVM replaces vm's round-robin database with one previously written
 // by SaveVM. The snapshot must match the agent's configuration — same step
 // and same data sources — so a stale or foreign file cannot silently change
-// what is being monitored. The simulated clock is advanced to the restored
-// database's last update if that is later, keeping RRD updates monotonic
-// even when a crash interleaved snapshot files from different moments.
+// what is being monitored. It leaves the clock alone: RestoreClock sets it
+// from the same snapshot.
 func (a *Agent) RestoreVM(vm vmtrace.VMID, r io.Reader) error {
 	err := a.restoreVM(vm, r)
 	if a.met != nil {
@@ -215,24 +214,17 @@ func (a *Agent) restoreVM(vm vmtrace.VMID, r io.Reader) error {
 		}
 	}
 	a.dbs[vm] = db
-	if last := time.Unix(db.LastUpdate(), 0).UTC(); last.After(a.now) {
-		a.now = last
-	}
 	return nil
 }
 
-// RestoreClock moves the simulated clock forward to t — never backwards —
-// and restores the cumulative raw-sample counter. Warm restart calls it
-// with the checkpoint manifest's values after restoring the databases.
+// RestoreClock sets the simulated clock and the cumulative raw-sample
+// counter. Warm restart calls it with the values of the snapshot whose
+// databases it restores.
 func (a *Agent) RestoreClock(t time.Time, samples int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if t.After(a.now) {
-		a.now = t
-	}
-	if samples > a.samples {
-		a.samples = samples
-	}
+	a.now = t
+	a.samples = samples
 }
 
 // Tick advances the simulated clock by one sample interval and collects one

@@ -325,8 +325,8 @@ func TestDedupMergeAfterCompaction(t *testing.T) {
 }
 
 // TestDedupRevertSplitsFloor: a batch applied in order collapses into the
-// floor, and withdrawing it — oldest first, as predictd's failed-append path
-// does, or newest first — re-admits exactly its seqs.
+// floor, and withdrawing it — newest first, as predictd's failed-append path
+// does, or oldest first — re-admits exactly its seqs.
 func TestDedupRevertSplitsFloor(t *testing.T) {
 	for _, newestFirst := range []bool{false, true} {
 		d := NewDedup()

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 
@@ -81,12 +80,10 @@ func InstallStream(eng *engine.Engine, cache *ResultCache, hist *HistoryStore,
 	return nil
 }
 
-// StreamRecord is one stream's entry in a record stream, the encoding
-// predictd's snapshot and the cluster's warm handoff share: one gob stream
-// of a header value and then exactly as many records as the header
-// announces, so type descriptors are written once and either side holds
-// one stream at a time. Field names are the format: gob matches them by
-// name, and fields absent from the stream decode as zero.
+// StreamRecord is one stream's entry in a record stream (durable's codec),
+// the encoding predictd's snapshot and the cluster's warm handoff share.
+// Field names are the format: gob matches them by name, and fields absent
+// from the stream decode as zero.
 type StreamRecord struct {
 	ID    string
 	State StreamState
@@ -106,7 +103,8 @@ type bareRecord struct {
 	State StreamState
 }
 
-// RecordWriter writes a record stream.
+// RecordWriter writes a record stream of StreamRecords; read one back with
+// durable.NewStreamReader[StreamRecord].
 type RecordWriter struct {
 	enc  *gob.Encoder
 	buf  bytes.Buffer // the predictor bytes of the record being written
@@ -143,48 +141,6 @@ func (rw *RecordWriter) WriteStream(eng *engine.Engine, cache *ResultCache,
 	}
 	if err := rw.enc.Encode(v); err != nil {
 		return fmt.Errorf("encode %s: %w", id, err)
-	}
-	return nil
-}
-
-// RecordReader reads a record stream written by RecordWriter.
-type RecordReader struct {
-	dec *gob.Decoder
-	rec StreamRecord
-}
-
-// NewRecordReader decodes the header of the record stream on r into hdr.
-func NewRecordReader(r io.Reader, hdr any) (*RecordReader, error) {
-	rr := &RecordReader{dec: gob.NewDecoder(r)}
-	if err := rr.dec.Decode(hdr); err != nil {
-		return nil, fmt.Errorf("the header does not decode: %w", err)
-	}
-	return rr, nil
-}
-
-// ReadRecords decodes n records one at a time and passes each to fn once
-// it has decoded whole; fn must not keep the pointer, which the next record
-// reuses. A record that does not decode, a cut one included, never reaches
-// fn and stops the read with an error naming it; fn's own error stops it
-// as is. After the n-th record the stream must end.
-func (rr *RecordReader) ReadRecords(n int, fn func(*StreamRecord) error) error {
-	for i := 0; i < n; i++ {
-		// Zeroed each time: gob leaves fields absent from the stream (zero
-		// values) untouched, so the previous stream's state would leak.
-		rr.rec = StreamRecord{}
-		if err := rr.dec.Decode(&rr.rec); err != nil {
-			return fmt.Errorf("record %d of %d does not decode: %w", i, n, err)
-		}
-		if err := fn(&rr.rec); err != nil {
-			return err
-		}
-	}
-	rr.rec = StreamRecord{}
-	switch err := rr.dec.Decode(&rr.rec); {
-	case err == nil:
-		return fmt.Errorf("holds more records than its header's %d", n)
-	case !errors.Is(err, io.EOF):
-		return fmt.Errorf("the bytes after its last record do not decode: %w", err)
 	}
 	return nil
 }

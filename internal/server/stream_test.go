@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/acis-lab/larpredictor/internal/core"
+	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
 )
 
@@ -87,7 +88,7 @@ func twoRecordStream(tb testing.TB) (stream []byte, ends []int, ids []string, sr
 // each record's windows and installing its state as soon as it decodes,
 // and returns how many records reached the install.
 func readInto(dst *recordStores, data []byte) (delivered int, hdr recordTestHeader, err error) {
-	rr, err := NewRecordReader(bytes.NewReader(data), &hdr)
+	rr, err := durable.NewStreamReader[StreamRecord](bytes.NewReader(data), &hdr)
 	if err != nil {
 		return 0, hdr, err
 	}
